@@ -3,8 +3,8 @@
 Each job is ``python jobs/<name>.py [--n 4096 --nq 40 ...]`` (or
 ``spark-submit jobs/<name>.py ...``); it obtains a SparkSession the same
 way ``conftest.py`` does, runs one experiment from
-``repro.eval.experiments`` and writes ``results/<name>.json`` plus a
-printed table.
+``repro.eval.experiments`` and writes ``results/<name>.json`` (or
+``$REPRO_RESULTS_DIR/<name>.json``) plus a printed table.
 """
 from __future__ import annotations
 
@@ -14,7 +14,12 @@ import os
 import sys
 from pathlib import Path
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+# ``REPRO_RESULTS_DIR`` redirects every ``dump`` (tests point it at a
+# temporary directory so they never overwrite the committed results).
+RESULTS_DIR = Path(
+    os.environ.get("REPRO_RESULTS_DIR")
+    or Path(__file__).resolve().parent.parent / "results"
+)
 
 
 def get_spark():
@@ -35,6 +40,7 @@ def get_spark():
                 os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )
     spark.sparkContext.setLogLevel("ERROR")

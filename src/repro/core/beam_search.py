@@ -8,7 +8,7 @@ time-accuracy knob swept in every qps-recall experiment.
 
 Variation points, used by the different strategies:
 
-* ``get_neighbors``: a callable ``u -> int array``. For static graphs this
+* ``get_neighbors``: a callable ``u -> int ndarray``. For static graphs this
   reads an adjacency row; for iRangeGraph it runs Algorithm 1 on the fly.
 * ``visit_filter``: nodes failing it are neither scored nor expanded —
   this is the In-filtering strategy (and, stateful, the probabilistic
@@ -78,8 +78,8 @@ def beam_search(
         d, u = heapq.heappop(cand)
         if len(best) >= beam and d > -best[0][0]:
             break
-        for v in get_neighbors(u):
-            v = int(v)
+        # Python ints hash and compare far faster than numpy scalars.
+        for v in get_neighbors(u).tolist():
             if v in visited:
                 continue
             visited.add(v)

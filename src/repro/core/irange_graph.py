@@ -14,6 +14,15 @@ equals its child's (the ``O(m + log n)`` amortized trick). The greedy
 beam search runs on this lazily-constructed graph, memoizing edge
 selections per query.
 
+Edge selection walks the root-to-leaf path of ``u`` on plain Python ints:
+the current segment is a 0-based ``(lo, hi, layer)`` triple, the child
+holding ``u`` follows from ``mid = (lo + hi) // 2``, a layer skip is one
+comparison of a query bound against ``mid``, and each scanned row goes
+through ``tolist()`` so every range and membership test is on ints.
+Distance scoring stays one ``np.dot`` per node in the beam-search kernel:
+a batched ``einsum`` rounds differently in float32, which would reorder
+the heaps and change the returned ids.
+
 Also implemented here, for the Figure-3 ablation:
 
 * ``variant="noskip"`` — iRangeGraph−: edge selection without layer
@@ -63,32 +72,34 @@ class IRangeGraphIndex:
         skipped whenever the child segment containing ``u`` has the same
         intersection with the query range as the current segment.
         """
-        rank = u + 1
-        tree = self.tree
-        seg = tree.root()
-        selected: list[int] = []
-        seen: set[int] = set()
+        m = self.m
+        leaf = self.tree.leaf_size
         lo0, hi0 = lo - 1, hi - 1  # 0-based node-id bounds
-
-        while len(selected) < self.m:
-            if skip_layers and not tree.is_leaf(seg):
-                child = tree.child_containing(seg, rank)
-                if child.intersection(lo, hi) == seg.intersection(lo, hi):
-                    seg = child
+        s_lo, s_hi, layer = 0, self.tree.n - 1, 0  # 0-based segment of u
+        selected: list[int] = []
+        while True:
+            is_leaf = s_hi - s_lo < leaf
+            if not is_leaf:
+                # The child holding u meets the query range exactly where
+                # its parent does iff the range does not reach the sibling.
+                mid = (s_lo + s_hi) // 2
+                if u <= mid:
+                    c_lo, c_hi, same = s_lo, mid, hi0 <= mid
+                else:
+                    c_lo, c_hi, same = mid + 1, s_hi, lo0 > mid
+                if skip_layers and same:
+                    s_lo, s_hi, layer = c_lo, c_hi, layer + 1
                     continue
-            row = self.layer_adj[seg.layer][u]
-            for v in row:
+            for v in self.layer_adj[layer][u].tolist():
                 if v < 0:
                     break
-                if lo0 <= v <= hi0 and v not in seen:
-                    seen.add(int(v))
-                    selected.append(int(v))
-                    if len(selected) >= self.m:
-                        break
-            if seg.covered_by(lo, hi) or tree.is_leaf(seg):
-                break
-            seg = tree.child_containing(seg, rank)
-        return np.asarray(selected[: self.m], dtype=np.int64)
+                if lo0 <= v <= hi0 and v not in selected:
+                    selected.append(v)
+                    if len(selected) == m:
+                        return np.asarray(selected, dtype=np.int64)
+            if is_leaf or (lo0 <= s_lo and s_hi <= hi0):
+                return np.asarray(selected, dtype=np.int64)
+            s_lo, s_hi, layer = c_lo, c_hi, layer + 1
 
     # --------------------------------------------------------- search
     def search(
@@ -103,14 +114,12 @@ class IRangeGraphIndex:
         skip_layers: bool = True,
         visit_filter=None,
         result_keep=None,
-        rng=None,
     ) -> np.ndarray:
         """RFANN search on the improvised dedicated graph for ``[lo, hi]``.
 
         Returns up to ``k`` 1-based ranks, nearest first. ``visit_filter``
         / ``result_keep`` hook in the multi-attribute strategies (they see
-        0-based node ids). ``rng`` is unused here but accepted for API
-        uniformity with probabilistic variants.
+        0-based node ids).
         """
         if lo > hi:
             return np.empty(0, dtype=np.int64)

@@ -26,9 +26,6 @@ class Segment:
     def __len__(self) -> int:
         return self.hi - self.lo + 1
 
-    def contains(self, rank: int) -> bool:
-        return self.lo <= rank <= self.hi
-
     def covered_by(self, lo: int, hi: int) -> bool:
         return lo <= self.lo and self.hi <= hi
 
@@ -63,28 +60,8 @@ class SegmentTree:
     def is_leaf(self, seg: Segment) -> bool:
         return len(seg) <= self.leaf_size
 
-    def child_containing(self, seg: Segment, rank: int) -> Segment:
-        """The child of ``seg`` whose interval contains ``rank``."""
-        if self.is_leaf(seg):
-            raise ValueError(f"{seg} is a leaf")
-        if not seg.contains(rank):
-            raise ValueError(f"rank {rank} not in {seg}")
-        mid = (seg.lo + seg.hi) // 2
-        if rank <= mid:
-            return Segment(seg.layer + 1, seg.lo, mid)
-        return Segment(seg.layer + 1, mid + 1, seg.hi)
-
     def root(self) -> Segment:
         return self.layers[0][0]
-
-    def path(self, rank: int) -> list[Segment]:
-        """Root-to-leaf chain of segments containing ``rank``."""
-        seg = self.root()
-        out = [seg]
-        while not self.is_leaf(seg):
-            seg = self.child_containing(seg, rank)
-            out.append(seg)
-        return out
 
     def decompose(self, lo: int, hi: int) -> list[Segment]:
         """Canonical decomposition of ``[lo, hi]`` into disjoint segments.

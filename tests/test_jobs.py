@@ -1,6 +1,7 @@
 """Smoke tests for the jobs/ entrypoints and their shared plumbing."""
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -64,14 +65,13 @@ def test_job_help_runs(job):
 
 def test_table1_job_end_to_end(tmp_path):
     """One full job subprocess (the cheapest): spins its own Spark,
-    writes results/table1_datasets.json."""
+    writes table1_datasets.json into a temporary results directory."""
     proc = subprocess.run(
         [sys.executable, str(JOBS / "table1_datasets.py"), "--n", "64",
          "--nq", "4", "--datasets", "ytaudio_lite"],
         capture_output=True, text=True, timeout=420,
+        env={**os.environ, "REPRO_RESULTS_DIR": str(tmp_path)},
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    payload = json.loads(
-        (JOBS.parent / "results" / "table1_datasets.json").read_text()
-    )
+    payload = json.loads((tmp_path / "table1_datasets.json").read_text())
     assert payload["materialized"][0]["n"] == 64

@@ -36,29 +36,22 @@ def test_num_layers_log(n=4096):
     assert tree.num_layers == 7  # 4096 / 64 = 64 leaves -> 6 splits
 
 
-def test_child_containing():
-    tree = SegmentTree(16, leaf_size=1)
-    root = tree.root()
-    assert tree.child_containing(root, 5) == Segment(1, 1, 8)
-    assert tree.child_containing(root, 9) == Segment(1, 9, 16)
-    with pytest.raises(ValueError):
-        tree.child_containing(Segment(4, 3, 3), 3)  # leaf has no child
-    with pytest.raises(ValueError):
-        tree.child_containing(root, 99)
-
-
 @pytest.mark.parametrize("n", [16, 100, 256])
 def test_path_descends_to_leaf(n):
+    """The segments holding a rank, one per layer, nest from the root
+    down to a leaf: the path Algorithm 1 walks."""
     tree = SegmentTree(n, leaf_size=4)
     for rank in (1, n // 2, n):
-        path = tree.path(rank)
+        path = [s for layer in tree.layers for s in layer
+                if s.lo <= rank <= s.hi]
         assert path[0] == tree.root()
-        for seg in path:
-            assert seg.contains(rank)
         assert tree.is_leaf(path[-1])
+        assert not any(tree.is_leaf(s) for s in path[:-1])
         for parent, child in zip(path, path[1:]):
             assert child.layer == parent.layer + 1
             assert parent.lo <= child.lo and child.hi <= parent.hi
+            mid = (parent.lo + parent.hi) // 2
+            assert (child.hi == mid) == (rank <= mid)
 
 
 @pytest.mark.parametrize("n", [16, 64, 100, 255])
@@ -103,7 +96,6 @@ def test_decompose_rejects_bad_range():
 def test_segment_helpers():
     s = Segment(2, 5, 10)
     assert len(s) == 6
-    assert s.contains(5) and s.contains(10) and not s.contains(11)
     assert s.covered_by(5, 10) and s.covered_by(1, 20)
     assert not s.covered_by(6, 20)
     assert s.intersection(8, 30) == (8, 10)
