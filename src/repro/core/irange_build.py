@@ -63,39 +63,32 @@ def build_parent_segment(
     """
     mid = (seg.lo + seg.hi) // 2
     is_left = ranks <= mid
-    rank_to_local = {int(r): i for i, r in enumerate(ranks)}
-
-    sides = {}
-    for side, mask in (("L", is_left), ("R", ~is_left)):
-        idx = np.nonzero(mask)[0]
-        sides[side] = idx
-
-    def side_entry(idx: np.ndarray) -> int:
-        return int(idx[len(idx) // 2])  # mid-rank node of the child
+    rank_to_local = {r: i for i, r in enumerate(ranks.tolist())}
+    # The child graphs in local row numbers, built once for the segment
+    # (a child's edges stay inside the child, so every rank maps).
+    local_nbrs = [
+        np.asarray([rank_to_local[r] for r in nb.tolist()], dtype=np.int64)
+        for nb in child_nbrs
+    ]
+    left, right = np.nonzero(is_left)[0], np.nonzero(~is_left)[0]
 
     out: list[np.ndarray] = []
     for i in range(len(ranks)):
-        other = sides["R"] if is_left[i] else sides["L"]
+        other = right if is_left[i] else left
         # case 1: u's edges in its own child graph survive as candidates.
-        cand = [int(r) for r in child_nbrs[i]]
-        # case 2: approximate NNs of u searched in the other child graph.
+        cand = child_nbrs[i].tolist()
+        # case 2: approximate NNs of u searched in the other child graph,
+        # entered at its mid-rank node.
         if len(other) > 0:
             ids, dists = beam_search(
-                vecs[i],
-                vecs,
-                lambda u: np.asarray(
-                    [rank_to_local[int(r)] for r in child_nbrs[u]
-                     if int(r) in rank_to_local],
-                    dtype=np.int64,
-                ),
-                [side_entry(other)],
-                beam=ef,
+                vecs[i], vecs, local_nbrs.__getitem__,
+                [int(other[len(other) // 2])], beam=ef,
             )
             best = ids[np.argsort(dists, kind="stable")[:ef]]
-            cand.extend(int(ranks[j]) for j in best)
-        cand_arr = np.asarray(cand, dtype=np.int64)
-        cand_local = np.asarray([rank_to_local[c] for c in cand_arr])
-        kept = rng_prune(vecs[i], cand_arr, vecs[cand_local], m)
+            cand.extend(ranks[best].tolist())
+        cand_local = [rank_to_local[c] for c in cand]
+        kept = rng_prune(vecs[i], np.asarray(cand, dtype=np.int64),
+                         vecs[cand_local], m)
         out.append(kept)
     return out
 

@@ -36,12 +36,6 @@ class DistanceCounter:
         self.count = 0
 
 
-def dist_sq(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Euclidean distance between two vectors (not counted)."""
-    d = a - b
-    return float(np.dot(d, d))
-
-
 def dist_batch(
     q: np.ndarray, x: np.ndarray, counter: DistanceCounter | None = None
 ) -> np.ndarray:
@@ -81,17 +75,6 @@ def pack_neighbors(neighbor_lists: list[np.ndarray], m: int) -> np.ndarray:
     return adj
 
 
-def neighbors_of(adj: np.ndarray, u: int) -> np.ndarray:
-    """The (unpadded) out-neighbors of node ``u``."""
-    row = adj[u]
-    return row[row != NO_EDGE]
-
-
 def adjacency_bytes(adj: np.ndarray) -> int:
     """Memory accounting: bytes of one padded adjacency."""
     return int(adj.nbytes)
-
-
-def edge_count(adj: np.ndarray) -> int:
-    """Number of real (non-padding) edges in a padded adjacency."""
-    return int((adj != NO_EDGE).sum())

@@ -7,6 +7,14 @@ already-retained candidate ``s`` satisfies ``alpha * d(s, c) < d(u, c)``
 (``alpha = 1`` is exactly the RNG rule: ``s`` is closer to both ``u`` and
 ``c`` than they are to each other). At most ``m`` candidates are retained.
 
+The rule is applied when a candidate is *kept*, not when one is visited:
+keeping ``s`` scores it against every candidate at once and marks those it
+prunes in a boolean mask, and the walk skips marked candidates. A
+candidate is marked iff some earlier-kept one prunes it, so the result is
+that of the per-candidate test, at ``<= m`` vector operations per call
+instead of one per candidate. ``c - s`` is exactly ``-(s - c)``, so every
+``d(s, c)`` has the same float bits as when scored the other way round.
+
 This single routine is the edge selector used by every graph builder in
 the reproduction: leaf elemental graphs, bottom-up parent graphs,
 HNSW-lite insertion and neighbor-list repair, SeRF-like incremental
@@ -44,23 +52,18 @@ def rng_prune(
 
     diff = cand_vecs - u_vec
     d_u = np.einsum("ij,ij->i", diff, diff)
-    order = np.argsort(d_u, kind="stable")
-
-    kept_idx: list[int] = []
-    kept_vecs: list[np.ndarray] = []
-    for idx in order:
-        if len(kept_idx) >= m:
+    a2 = alpha * alpha
+    pruned = np.zeros(len(cand_ids), dtype=bool)
+    kept: list[int] = []
+    for s in np.argsort(d_u, kind="stable").tolist():
+        if len(kept) >= m:
             break
-        c = cand_vecs[idx]
-        if kept_idx:
-            kv = np.asarray(kept_vecs)
-            dd = kv - c
-            d_sc = np.einsum("ij,ij->i", dd, dd)
-            if np.any(alpha * alpha * d_sc < d_u[idx]):
-                continue
-        kept_idx.append(int(idx))
-        kept_vecs.append(c)
-    return cand_ids[kept_idx]
+        if pruned[s]:
+            continue
+        kept.append(s)
+        dd = cand_vecs - cand_vecs[s]
+        pruned |= a2 * np.einsum("ij,ij->i", dd, dd) < d_u
+    return cand_ids[kept]
 
 
 def brute_force_rng(
@@ -69,23 +72,28 @@ def brute_force_rng(
     """Exact approximate-RNG over a small point set (leaf graphs).
 
     For every node, all other nodes are candidates; the RNG rule with a
-    degree cap of ``m`` selects the out-edges. O(n^2) distances + O(n m)
-    prune checks per node — only used for segment-tree leaves (<= ~64
+    degree cap of ``m`` selects the out-edges. One ``pairwise_sq`` matrix,
+    then per node a walk in distance order that, as in :func:`rng_prune`,
+    masks what each kept node prunes (``<= m`` row operations per node).
+    Row ``u`` of the matrix is read exactly where the per-pair rule read
+    ``d[s, c]`` and ``d[u, c]``, in float64 as that rule compared them, so
+    the edges are the same. Only used for segment-tree leaves (<= ~64
     points) and tests.
     """
     n = len(vecs)
-    d = pairwise_sq(vecs)
+    d = pairwise_sq(vecs).astype(np.float64)
+    a2 = alpha * alpha
     out: list[np.ndarray] = []
-    ids = np.arange(n)
     for u in range(n):
-        cand = ids[ids != u]
-        order = cand[np.argsort(d[u, cand], kind="stable")]
+        pruned = np.zeros(n, dtype=bool)
+        pruned[u] = True
         kept: list[int] = []
-        for c in order:
+        for c in np.argsort(d[u], kind="stable").tolist():
             if len(kept) >= m:
                 break
-            if any(alpha * alpha * d[s, c] < d[u, c] for s in kept):
+            if pruned[c]:
                 continue
-            kept.append(int(c))
+            kept.append(c)
+            pruned |= a2 * d[c] < d[u]
         out.append(np.asarray(kept, dtype=np.int64))
     return out

@@ -17,6 +17,7 @@ row_number over the attribute order), cross-checked against DuckDB.
 """
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +86,8 @@ def generate_raw(
 ) -> tuple[pd.DataFrame, np.ndarray]:
     """Unsorted raw table ``(id, attr, attr2?, vector)`` + query vectors."""
     d, n_clusters, a1, a2 = SPECS[name]
-    g = np.random.default_rng(seed + hash(name) % (2**16))
+    # crc32, not hash(): Python salts str hashes per process.
+    g = np.random.default_rng(seed + zlib.crc32(name.encode()) % (2**16))
     pts = _mixture(n + nq, d, n_clusters, g)
     data, queries = pts[:n], pts[n:]
     raw = pd.DataFrame(

@@ -10,15 +10,6 @@ arrays (SeRF edge intervals, bucket boundaries, ...). Methods expose
 from __future__ import annotations
 
 
-def raw_vector_bytes(n: int, dim: int) -> int:
-    """float32 raw vectors — Table 2's reference row."""
-    return 4 * n * dim
-
-
 def footprint_mb(mem: dict[str, int]) -> float:
     """Total footprint (vectors + index) in MiB."""
     return (mem.get("vectors", 0) + mem.get("index", 0)) / (1 << 20)
-
-
-def index_mb(mem: dict[str, int]) -> float:
-    return mem.get("index", 0) / (1 << 20)

@@ -29,10 +29,6 @@ class RangeQuery:
     lo2: int | None = None
     hi2: int | None = None
 
-    @property
-    def fraction(self) -> float:
-        return 0.0 if self.hi < self.lo else (self.hi - self.lo + 1)
-
 
 def _random_range(n: int, length: int, g: np.random.Generator) -> tuple[int, int]:
     length = max(1, min(n, length))

@@ -1,0 +1,94 @@
+"""Plain reference for the index-build kernels.
+
+A straightforward copy of the original RNG prune, which tests every
+candidate against the stacked vectors of all kept ones, the brute-force
+leaf builder with its per-pair Python ``any``, and the parent-segment
+builder that maps a child row to local ids on every beam-search
+expansion. The optimized kernels in ``repro.core`` must return exactly
+what these return.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.beam_search import beam_search
+from repro.core.neighbors import pairwise_sq
+
+
+def rng_prune(u_vec, cand_ids, cand_vecs, m, *, alpha=1.0):
+    if len(cand_ids) == 0:
+        return np.empty(0, dtype=np.int64)
+    cand_ids = np.asarray(cand_ids)
+    _, first = np.unique(cand_ids, return_index=True)
+    first.sort()
+    cand_ids = cand_ids[first]
+    cand_vecs = cand_vecs[first]
+
+    diff = cand_vecs - u_vec
+    d_u = np.einsum("ij,ij->i", diff, diff)
+    order = np.argsort(d_u, kind="stable")
+
+    kept_idx: list[int] = []
+    kept_vecs: list[np.ndarray] = []
+    for idx in order:
+        if len(kept_idx) >= m:
+            break
+        c = cand_vecs[idx]
+        if kept_idx:
+            kv = np.asarray(kept_vecs)
+            dd = kv - c
+            d_sc = np.einsum("ij,ij->i", dd, dd)
+            if np.any(alpha * alpha * d_sc < d_u[idx]):
+                continue
+        kept_idx.append(int(idx))
+        kept_vecs.append(c)
+    return cand_ids[kept_idx]
+
+
+def brute_force_rng(vecs, m, *, alpha=1.0):
+    n = len(vecs)
+    d = pairwise_sq(vecs)
+    out: list[np.ndarray] = []
+    ids = np.arange(n)
+    for u in range(n):
+        cand = ids[ids != u]
+        order = cand[np.argsort(d[u, cand], kind="stable")]
+        kept: list[int] = []
+        for c in order:
+            if len(kept) >= m:
+                break
+            if any(alpha * alpha * d[s, c] < d[u, c] for s in kept):
+                continue
+            kept.append(int(c))
+        out.append(np.asarray(kept, dtype=np.int64))
+    return out
+
+
+def build_parent_segment(seg, ranks, vecs, child_nbrs, m, ef):
+    mid = (seg.lo + seg.hi) // 2
+    is_left = ranks <= mid
+    rank_to_local = {int(r): i for i, r in enumerate(ranks)}
+    sides = {"L": np.nonzero(is_left)[0], "R": np.nonzero(~is_left)[0]}
+
+    out: list[np.ndarray] = []
+    for i in range(len(ranks)):
+        other = sides["R"] if is_left[i] else sides["L"]
+        cand = [int(r) for r in child_nbrs[i]]
+        if len(other) > 0:
+            ids, dists = beam_search(
+                vecs[i],
+                vecs,
+                lambda u: np.asarray(
+                    [rank_to_local[int(r)] for r in child_nbrs[u]
+                     if int(r) in rank_to_local],
+                    dtype=np.int64,
+                ),
+                [int(other[len(other) // 2])],
+                beam=ef,
+            )
+            best = ids[np.argsort(dists, kind="stable")[:ef]]
+            cand.extend(int(ranks[j]) for j in best)
+        cand_arr = np.asarray(cand, dtype=np.int64)
+        cand_local = np.asarray([rank_to_local[c] for c in cand_arr])
+        out.append(rng_prune(vecs[i], cand_arr, vecs[cand_local], m))
+    return out

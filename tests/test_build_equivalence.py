@@ -1,0 +1,137 @@
+"""The optimized build kernels must match the plain reference bit for bit.
+
+``tests/_reference_build.py`` holds the original per-candidate RNG prune,
+the per-pair brute-force leaf builder and the parent-segment builder
+that maps child rows to local ids on every expansion. Their output is
+compared against ``repro.core`` directly, through the iRangeGraph build,
+through HNSW-lite (with its edge history) and through FilteredVamana.
+"""
+import numpy as np
+import pytest
+
+from repro.baselines.filtered_diskann import FilteredVamanaIndex
+from repro.core import hnsw, irange_build
+from repro.core import rng_prune as rp
+from repro.core.irange_build import build_irange_index_local
+from repro.core.segment_tree import SegmentTree
+from tests import _reference_build as ref
+from tests.conftest import make_clustered
+
+ALPHAS = [0.9, 1.0, 1.2]
+DTYPES = [np.float32, np.float64]
+
+
+def _candidates(g, dtype):
+    """A random candidate set with duplicate ids, repeated vectors and,
+    sometimes, candidates at ``u`` itself (zero distances)."""
+    count = int(g.integers(1, 80))
+    d = int(g.integers(2, 9))
+    ids = g.integers(0, max(2, count // 2 + 1), count)
+    vecs = g.normal(size=(count, d))
+    dup = g.random(count) < 0.2
+    vecs[dup] = vecs[g.integers(0, count, int(dup.sum()))]
+    u = g.normal(size=d)
+    if g.random() < 0.3:
+        vecs[g.integers(0, count)] = u
+    m = int(g.integers(0, count + 6))  # includes m >= candidate count
+    return u.astype(dtype), ids, vecs.astype(dtype), m
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_rng_prune_matches_reference(alpha, dtype):
+    g = np.random.default_rng(int(alpha * 10) + 100 * (dtype is np.float32))
+    for _ in range(300):
+        u, ids, vecs, m = _candidates(g, dtype)
+        got = rp.rng_prune(u, ids, vecs, m, alpha=alpha)
+        want = ref.rng_prune(u, ids, vecs, m, alpha=alpha)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_rng_prune_empty_and_identical_candidates():
+    u = np.zeros(3, dtype=np.float32)
+    empty = rp.rng_prune(u, np.empty(0, int), np.empty((0, 3)), 4)
+    assert empty.dtype == np.int64 and len(empty) == 0
+    same = np.ones((5, 3), dtype=np.float32)
+    for m in range(7):
+        np.testing.assert_array_equal(
+            rp.rng_prune(u, np.arange(5), same, m),
+            ref.rng_prune(u, np.arange(5), same, m))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 17, 33, 63, 64])
+def test_brute_force_rng_matches_reference(n, alpha, dtype):
+    g = np.random.default_rng(n)
+    vecs = g.normal(size=(n, 6))
+    vecs[n // 2] = vecs[0]  # a duplicate vector
+    vecs = vecs.astype(dtype)
+    for m in (1, 4, n):
+        got = rp.brute_force_rng(vecs, m, alpha=alpha)
+        want = ref.brute_force_rng(vecs, m, alpha=alpha)
+        assert len(got) == len(want) == n
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
+def _reference_irange_build(monkeypatch, X, **kw):
+    with monkeypatch.context() as mp:
+        mp.setattr(irange_build, "rng_prune", ref.rng_prune)
+        mp.setattr(irange_build, "brute_force_rng", ref.brute_force_rng)
+        mp.setattr(irange_build, "build_parent_segment",
+                   ref.build_parent_segment)
+        return build_irange_index_local(X, **kw)
+
+
+def _assert_same_layers(got, want):
+    assert len(got.layer_adj) == len(want.layer_adj)
+    for g_adj, w_adj in zip(got.layer_adj, want.layer_adj):
+        assert g_adj.dtype == w_adj.dtype
+        np.testing.assert_array_equal(g_adj, w_adj)
+
+
+def test_irange_build_matches_reference(small_data, irange_index,
+                                        monkeypatch):
+    """n=256, leaf 32: a four-layer tree."""
+    X, _ = small_data
+    assert irange_index.tree.num_layers == 4
+    want = _reference_irange_build(monkeypatch, X, m=8, ef=50, leaf_size=32)
+    _assert_same_layers(irange_index, want)
+
+
+def test_uneven_irange_build_matches_reference(monkeypatch):
+    """n=134, leaf 16: leaves sit on two different layers. A beam of 4
+    keeps the case-2 searches far from exhaustive, so they depend on the
+    entry node and the order of every child row."""
+    X, _ = make_clustered(134, 16, seed=8)
+    tree = SegmentTree(134, 16)
+    leaf_layers = {s.layer for lay in tree.layers for s in lay
+                   if tree.is_leaf(s)}
+    assert len(leaf_layers) == 2
+    got = build_irange_index_local(X, m=6, ef=4, leaf_size=16)
+    want = _reference_irange_build(monkeypatch, X, m=6, ef=4, leaf_size=16)
+    _assert_same_layers(got, want)
+
+
+def test_hnsw_with_history_matches_reference(monkeypatch):
+    X, _ = make_clustered(300, 16, seed=9)
+    got = hnsw.build_hnsw(X, m=6, ef_construction=30, record_history=True)
+    monkeypatch.setattr(hnsw, "rng_prune", ref.rng_prune)
+    want = hnsw.build_hnsw(X, m=6, ef_construction=30, record_history=True)
+    assert got.entry == want.entry
+    for name in ("adj", "edge_src", "edge_dst", "edge_birth", "edge_death"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+def test_filtered_vamana_matches_reference(monkeypatch):
+    X, _ = make_clustered(300, 16, seed=10)
+    got = FilteredVamanaIndex(X, n_labels=5, m=6, ef=30)
+    monkeypatch.setattr(rp, "rng_prune", ref.rng_prune)
+    want = FilteredVamanaIndex(X, n_labels=5, m=6, ef=30)
+    np.testing.assert_array_equal(got.adj, want.adj)
+    np.testing.assert_array_equal(got.medoids, want.medoids)

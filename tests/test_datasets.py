@@ -1,4 +1,9 @@
 """Tests for the synthetic dataset substitutes + Spark rank mapping."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,6 +29,35 @@ def test_generate_raw_deterministic(name):
     b, qb = generate_raw(name, n=64, nq=4, seed=3)
     assert a["attr"].equals(b["attr"])
     np.testing.assert_array_equal(qa, qb)
+
+
+_DIGEST = """
+import hashlib
+import numpy as np
+from repro.eval.datasets import SPECS, generate_raw
+h = hashlib.sha256()
+for name in SPECS:
+    raw, queries = generate_raw(name, n=64, nq=4, seed=3)
+    h.update(np.stack(raw["vector"].to_numpy()).tobytes())
+    h.update(raw.drop(columns="vector").to_numpy().tobytes())
+    h.update(queries.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_generate_raw_same_in_every_process():
+    """Python salts str hashes per process; the data must not depend on it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = set()
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", _DIGEST], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_load_dataset_sorted_and_aligned(spark):

@@ -1,17 +1,10 @@
 """Tests for memory accounting (Table 2 bookkeeping)."""
-import numpy as np
-
-from repro.eval.memory import footprint_mb, index_mb, raw_vector_bytes
-
-
-def test_raw_vector_bytes():
-    assert raw_vector_bytes(1000, 64) == 1000 * 64 * 4
+from repro.eval.memory import footprint_mb
 
 
 def test_footprint_mb():
     mem = {"vectors": 1 << 20, "index": 1 << 20}
     assert footprint_mb(mem) == 2.0
-    assert index_mb(mem) == 1.0
 
 
 def test_footprint_missing_keys():

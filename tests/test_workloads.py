@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.eval.workloads import (RangeQuery, fixed_workload, mixed_workload,
+from repro.eval.workloads import (fixed_workload, mixed_workload,
                                   multiattr_workload, shared_range_workload)
 
 
@@ -65,11 +65,6 @@ def test_multiattr_workload_two_ranges():
         assert 1 <= q.lo2 <= q.hi2 <= n
         assert q.hi - q.lo + 1 == n >> 2
         assert q.hi2 - q.lo2 + 1 == n >> 2
-
-
-def test_range_query_fraction_property():
-    assert RangeQuery(0, 5, 14).fraction == 10
-    assert RangeQuery(0, 5, 4).fraction == 0.0
 
 
 def test_tiny_n_never_breaks():
