@@ -1,10 +1,11 @@
 """Shared Spark builder: one HNSW-lite graph per subset of the dataset.
 
-Milvus-like partitions, SuperPostfiltering windows and StitchedVamana
-label buckets all need "a proximity graph per rank subset". This helper
-expresses that as one Spark job: explode ``(group, rank, vector)`` rows,
-``groupBy(group).applyInPandas`` builds each subset's graph in parallel,
-and the driver reassembles searchable :class:`SubsetGraph` objects.
+Milvus-like partitions, SuperPostfiltering windows, StitchedVamana label
+buckets and Oracle-HNSW ranges all need "a proximity graph per rank
+subset". This helper builds them on the driver or as one Spark job
+(``groupBy(gid).applyInPandas`` over ``(gid, rank)`` rows, one subset per
+group), with the same per-subset build either way, and returns
+searchable :class:`SubsetGraph` objects.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ import numpy as np
 import pandas as pd
 
 from repro.core.hnsw import FlatGraph, build_hnsw
-from repro.core.neighbors import DistanceCounter, adjacency_bytes
+from repro.core.neighbors import (DistanceCounter, adjacency_bytes,
+                                  pack_neighbors)
 
 
 @dataclass
@@ -74,10 +76,13 @@ def build_subset_graphs(
 ) -> dict[int, SubsetGraph]:
     """Build one HNSW-lite per subset (``gid -> sorted 1-based ranks``).
 
-    Runs distributed when a SparkSession is given; ``spark=None`` falls
-    back to a driver loop (used by tests for equivalence checks).
-    Deterministic: each subset's insertion order comes from a seeded
-    permutation keyed by ``(seed, gid)``.
+    Both executors call the same ``build_one``. With ``spark=None`` the
+    driver loops over the subsets; with a SparkSession each subset is one
+    ``applyInPandas`` group of ``(gid, rank)`` rows, the vectors travel in
+    the function's closure, and the driver packs the returned neighbor
+    lists back into padded adjacencies. Deterministic: each subset's
+    insertion order comes from a seeded permutation keyed by
+    ``(seed, gid)``, so both executors build identical graphs.
     """
     vectors = np.ascontiguousarray(vectors, dtype=np.float32)
 
@@ -91,30 +96,20 @@ def build_subset_graphs(
     if spark is None:
         return {gid: build_one(gid, r) for gid, r in subsets.items()}
 
-    rows = []
-    for gid, ranks in subsets.items():
-        for r in np.sort(np.asarray(ranks, dtype=np.int64)):
-            rows.append(
-                {"gid": int(gid), "rank": int(r),
-                 "vector": vectors[r - 1].tolist()}
-            )
-    pdf = pd.DataFrame(rows)
+    pdf = pd.DataFrame(
+        [(int(gid), int(r)) for gid, ranks in subsets.items() for r in ranks],
+        columns=["gid", "rank"],
+    )
 
     def build_group(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("rank").reset_index(drop=True)
         gid = int(g["gid"].iloc[0])
-        ranks = g["rank"].to_numpy(dtype=np.int64)
-        sub = np.ascontiguousarray(
-            np.stack([np.asarray(v, dtype=np.float32) for v in g["vector"]])
-        )
-        order = np.random.default_rng((seed, gid)).permutation(len(ranks))
-        graph = build_hnsw(sub, m=m, ef_construction=ef, order=order)
+        sg = build_one(gid, g["rank"].to_numpy())
         return pd.DataFrame(
             {
                 "gid": gid,
-                "rank": ranks,
-                "nbrs": [row[row >= 0].tolist() for row in graph.adj],
-                "entry": int(graph.entry),
+                "rank": sg.ranks,
+                "nbrs": [row[row >= 0].tolist() for row in sg.graph.adj],
+                "entry": int(sg.graph.entry),
             }
         )
 
@@ -128,13 +123,9 @@ def build_subset_graphs(
     )
     result: dict[int, SubsetGraph] = {}
     for gid, grp in out.groupby("gid"):
-        grp = grp.sort_values("rank").reset_index(drop=True)
+        grp = grp.sort_values("rank")
         ranks = grp["rank"].to_numpy(dtype=np.int64)
-        mcap = m
-        adj = np.full((len(ranks), mcap), -1, dtype=np.int32)
-        for i, nb in enumerate(grp["nbrs"]):
-            nb = np.asarray(nb, dtype=np.int32)[:mcap]
-            adj[i, : len(nb)] = nb
+        adj = pack_neighbors(list(grp["nbrs"]), m)
         graph = FlatGraph(
             vectors=vectors[ranks - 1], adj=adj, entry=int(grp["entry"].iloc[0])
         )

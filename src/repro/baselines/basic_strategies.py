@@ -9,14 +9,16 @@
 * **In-filtering** — the same graph, but traversal visits in-range nodes
   only (entered from in-range seeds).
 
-Post- and In-filtering share one :class:`WholeGraphIndex` build.
+Post- and In-filtering share one :class:`WholeGraphIndex` build and
+are chosen per query with ``mode="post"`` or ``mode="in"``.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core.hnsw import FlatGraph, build_hnsw
-from repro.core.neighbors import DistanceCounter, adjacency_bytes
+from repro.core.neighbors import (DistanceCounter, adjacency_bytes,
+                                  dist_batch)
 
 
 class PrefilterIndex:
@@ -39,11 +41,7 @@ class PrefilterIndex:
         hi = min(len(self.vectors), hi)
         if lo > hi:
             return np.empty(0, dtype=np.int64)
-        sl = self.vectors[lo - 1 : hi]
-        d = sl - query
-        dist = np.einsum("ij,ij->i", d, d)
-        if counter is not None:
-            counter.add(len(sl))
+        dist = dist_batch(query, self.vectors[lo - 1 : hi], counter)
         order = np.argsort(dist, kind="stable")[:k]
         return order + lo
 
@@ -111,21 +109,3 @@ class WholeGraphIndex:
             "vectors": int(self.vectors.nbytes),
             "index": adjacency_bytes(self.graph.adj),
         }
-
-
-class PostfilterIndex(WholeGraphIndex):
-    """Post-filtering facade over :class:`WholeGraphIndex`."""
-
-    def search(self, query, lo, hi, *, beam, k, counter=None):  # noqa: D102
-        return super().search(
-            query, lo, hi, beam=beam, k=k, counter=counter, mode="post"
-        )
-
-
-class InfilterIndex(WholeGraphIndex):
-    """In-filtering facade over :class:`WholeGraphIndex`."""
-
-    def search(self, query, lo, hi, *, beam, k, counter=None):  # noqa: D102
-        return super().search(
-            query, lo, hi, beam=beam, k=k, counter=counter, mode="in"
-        )

@@ -9,9 +9,10 @@ are post-filtered to the exact range.
   with disjoint single-label points the stitched graph is the disjoint
   union, re-pruned to the degree cap. Query: filtered greedy search that
   visits only query-label nodes, seeded from each query label's medoid.
-* **FilteredVamana** — a single graph built incrementally where each
-  insertion's candidates come from a label-constrained search (plus the
-  label medoids for connectivity), mirroring FilteredRobustPrune's
+* **FilteredVamana** — a single graph built incrementally
+  (``build_hnsw(labels=...)``) where each insertion's candidates come
+  from a search that visits only its label, entered from the label's
+  first inserted node, mirroring FilteredRobustPrune's
   "candidates share a label with u" constraint (with one label per point
   this keeps edges label-internal, as in the original when label sets
   are disjoint).
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro.baselines._spark_build import SubsetGraph, build_subset_graphs
 from repro.core.beam_search import beam_search, top_k
-from repro.core.neighbors import DistanceCounter
+from repro.core.hnsw import build_hnsw
 
 
 class _LabelIndexBase:
@@ -41,31 +42,23 @@ class _LabelIndexBase:
         self.label = (
             np.searchsorted(self.bounds, np.arange(1, n + 1), side="left") - 1
         )
-        # medoid (here: central rank) per label, used as search seeds
-        self.medoids = [
-            int((self.bounds[b] + self.bounds[b + 1] + 1) // 2 - 1)
+        # label -> medoid (here: central rank), used as search seeds;
+        # empty buckets (n < n_labels) have no label and no medoid
+        self.medoids = {
+            b: int((self.bounds[b] + self.bounds[b + 1] + 1) // 2 - 1)
             for b in range(n_labels)
             if self.bounds[b + 1] > self.bounds[b]
-        ]
+        }
 
-    def _query_labels(self, lo: int, hi: int) -> np.ndarray:
-        labs = np.unique(self.label[lo - 1 : hi])
-        return labs
-
-    def _filtered_search(
-        self,
-        adj: np.ndarray,
-        query: np.ndarray,
-        lo: int,
-        hi: int,
-        *,
-        beam: int,
-        k: int,
-        counter: DistanceCounter | None,
-    ) -> np.ndarray:
-        labs = set(self._query_labels(lo, hi).tolist())
+    def search(self, query, lo, hi, *, beam, k, counter=None):
+        """Filtered greedy search over the query's labels, seeded from
+        their medoids; results are post-filtered to ``[lo, hi]``."""
+        lo, hi = max(1, lo), min(self.n, hi)
+        if lo > hi:
+            return np.empty(0, dtype=np.int64)
+        labs = set(np.unique(self.label[lo - 1 : hi]).tolist())
         entries = [self.medoids[b] for b in sorted(labs)]
-        label = self.label
+        label, adj = self.label, self.adj
         lo0, hi0 = lo - 1, hi - 1
         ids, dists = beam_search(
             query,
@@ -103,28 +96,15 @@ class StitchedVamanaIndex(_LabelIndexBase):
         subsets = {
             b: np.arange(self.bounds[b] + 1, self.bounds[b + 1] + 1,
                          dtype=np.int64)
-            for b in range(n_labels)
-            if self.bounds[b + 1] > self.bounds[b]
+            for b in self.medoids
         }
         graphs: dict[int, SubsetGraph] = build_subset_graphs(
             spark, vectors, subsets, m=m, ef=ef, seed=seed
         )
         self.adj = np.full((self.n, m), -1, dtype=np.int32)
         for g in graphs.values():
-            for i, rank in enumerate(g.ranks):
-                row = g.graph.adj[i]
-                nb = row[row >= 0]
-                self.adj[rank - 1, : len(nb)] = (g.ranks[nb] - 1).astype(
-                    np.int32
-                )
-
-    def search(self, query, lo, hi, *, beam, k, counter=None):
-        lo, hi = max(1, lo), min(self.n, hi)
-        if lo > hi:
-            return np.empty(0, dtype=np.int64)
-        return self._filtered_search(
-            self.adj, query, lo, hi, beam=beam, k=k, counter=counter
-        )
+            a = g.graph.adj  # local ids -> global 0-based ids
+            self.adj[g.ranks - 1] = np.where(a >= 0, g.ranks[a] - 1, -1)
 
 
 class FilteredVamanaIndex(_LabelIndexBase):
@@ -139,57 +119,14 @@ class FilteredVamanaIndex(_LabelIndexBase):
         ef: int = 100,
         seed: int = 0,
     ) -> None:
-        from repro.core.rng_prune import rng_prune
-
         super().__init__(vectors, n_labels)
-        n = self.n
-        g = np.random.default_rng(seed)
-        order = g.permutation(n)
-        adj_lists: list[list[int]] = [[] for _ in range(n)]
-        label = self.label
-        seen_first: dict[int, int] = {}  # label -> first inserted node
-
-        def nbrs(u: int) -> np.ndarray:
-            return np.asarray(adj_lists[u], dtype=np.int64)
-
-        for u in order:
-            u = int(u)
-            b = int(label[u])
-            if b not in seen_first:
-                seen_first[b] = u
-                continue
-            # Label-constrained candidate search from the label's seed.
-            ids, dists = beam_search(
-                self.vectors[u],
-                self.vectors,
-                nbrs,
-                [seen_first[b]],
-                beam=ef,
-                visit_filter=lambda v: label[v] == b,
-            )
-            cand = ids[np.argsort(dists, kind="stable")[:ef]]
-            kept = rng_prune(self.vectors[u], cand, self.vectors[cand], m)
-            adj_lists[u] = [int(v) for v in kept]
-            for v in adj_lists[u]:
-                lst = adj_lists[v]
-                lst.append(u)
-                if len(lst) > m:
-                    cv = np.asarray(lst, dtype=np.int64)
-                    kept_v = rng_prune(
-                        self.vectors[v], cv, self.vectors[cv], m
-                    )
-                    adj_lists[v] = [int(x) for x in kept_v]
-        self.adj = np.full((n, m), -1, dtype=np.int32)
-        for u, lst in enumerate(adj_lists):
-            self.adj[u, : len(lst)] = lst[:m]
-        # Keep the actual seeds as medoids for the query path.
-        for b, u in seen_first.items():
-            self.medoids[b] = u
-
-    def search(self, query, lo, hi, *, beam, k, counter=None):
-        lo, hi = max(1, lo), min(self.n, hi)
-        if lo > hi:
-            return np.empty(0, dtype=np.int64)
-        return self._filtered_search(
-            self.adj, query, lo, hi, beam=beam, k=k, counter=counter
-        )
+        order = np.random.default_rng(seed).permutation(self.n)
+        self.adj = build_hnsw(
+            self.vectors, m=m, ef_construction=ef, order=order,
+            labels=self.label,
+        ).adj
+        # Each label's first inserted node is its build entry point, and
+        # the query path's seed too.
+        self.medoids = {}
+        for u in order.tolist():
+            self.medoids.setdefault(int(self.label[u]), u)

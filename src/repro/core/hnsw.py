@@ -8,6 +8,11 @@ list that overflows ``m`` with another RNG prune. hnswlib's level-0
 behaves identically; the hierarchy only accelerates entry-point location,
 which a beam over n <= 10^4 nodes does not need.
 
+With ``labels`` the same loop builds Filtered-DiskANN's FilteredVamana
+(Gollapudi et al., WWW 2023): each label's first inserted node is its
+entry point, and an insertion's candidate search visits only nodes that
+share the new node's label, so every edge stays inside one label.
+
 The builder can record the full *edge history* (birth/death insertion
 step of every directed edge). With insertion in attribute-rank order this
 is exactly SeRF's 1-D segment graph: filtering edges by
@@ -75,12 +80,16 @@ def build_hnsw(
     order: np.ndarray | None = None,
     seed: int = 0,
     record_history: bool = False,
+    labels: np.ndarray | None = None,
 ) -> FlatGraph:
     """Build an HNSW-lite graph by incremental insertion.
 
     ``order`` fixes the insertion order (SeRF needs rank order); by
     default a seeded random permutation is used, which is what hnswlib
     effectively sees on attribute-sorted data fed in shuffled order.
+    ``labels`` (one int per node) confines each insertion's candidate
+    search to the node's label, entered from the label's first inserted
+    node; ``entry`` is still the first inserted node overall.
     """
     n = len(vectors)
     vectors = np.ascontiguousarray(vectors, dtype=np.float32)
@@ -93,15 +102,20 @@ def build_hnsw(
     adj_lists: list[list[int]] = [[] for _ in range(n)]
     birth: dict[tuple[int, int], int] = {}
     death: dict[tuple[int, int], int] = {}
-    entry = int(order[0])
+    entries: dict[int, int] = {}  # label (0 without labels) -> first node
 
     def neighbors(u: int) -> np.ndarray:
         return np.asarray(adj_lists[u], dtype=np.int64)
 
-    for t in range(1, n):
-        u = int(order[t])
+    for t, u in enumerate(order.tolist()):
+        b = 0 if labels is None else int(labels[u])
+        if b not in entries:
+            entries[b] = u
+            continue
+        visit = None if labels is None else (lambda v: labels[v] == b)
         ids, dists = beam_search(
-            vectors[u], vectors, neighbors, [entry], beam=ef_construction
+            vectors[u], vectors, neighbors, [entries[b]],
+            beam=ef_construction, visit_filter=visit,
         )
         # Candidates = the ef best scored nodes.
         keep = np.argsort(dists, kind="stable")[:ef_construction]
@@ -126,7 +140,7 @@ def build_hnsw(
                 adj_lists[v] = kept_list
 
     adj = pack_neighbors([np.asarray(l) for l in adj_lists], m)
-    g = FlatGraph(vectors=vectors, adj=adj, entry=entry)
+    g = FlatGraph(vectors=vectors, adj=adj, entry=int(order[0]))
     if record_history:
         # Drop zero-length intervals (edge born and pruned within the
         # same insertion step — it exists in no reconstructable state).

@@ -2,8 +2,9 @@
 
 Two equivalent builders share the same per-segment kernels:
 
-* :func:`build_irange_index_local` — plain-numpy loop over segments
-  (tests, tiny inputs).
+* :func:`build_irange_index_local` — plain-numpy loop over segments on
+  the driver; the build that perfbench's ``mixed`` and ``multiattr``
+  workloads and Table 3's driver-local column time, and the tests' build.
 * :func:`build_irange_index` — the Spark dataflow: one job per tree
   layer, ``groupBy(segment).applyInPandas`` building every segment of the
   layer in parallel. Layer ``i`` consumes layer ``i+1``'s adjacency

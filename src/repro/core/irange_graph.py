@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.beam_search import beam_search, top_k
-from repro.core.neighbors import DistanceCounter, adjacency_bytes
+from repro.core.neighbors import (DistanceCounter, adjacency_bytes,
+                                  dist_batch)
 from repro.core.segment_tree import SegmentTree
 
 
@@ -130,10 +131,7 @@ class IRangeGraphIndex:
             # beam-``beam`` search would; for ranges this small the
             # improvised graph can be disconnected, the scan cannot.
             ids = np.arange(lo - 1, hi, dtype=np.int64)
-            d = self.vectors[ids] - query
-            dists = np.einsum("ij,ij->i", d, d)
-            if counter is not None:
-                counter.add(len(ids))
+            dists = dist_batch(query, self.vectors[lo - 1 : hi], counter)
             return top_k(ids, dists, k, keep=result_keep) + 1
         memo: dict[int, np.ndarray] = {}
 
@@ -189,11 +187,11 @@ class BasicSearchIndex:
         k: int,
         counter: DistanceCounter | None = None,
     ) -> np.ndarray:
-        if lo > hi:
-            return np.empty(0, dtype=np.int64)
         idx = self.index
         lo = max(1, lo)
         hi = min(idx.n, hi)
+        if lo > hi:
+            return np.empty(0, dtype=np.int64)
         all_ids: list[np.ndarray] = []
         all_d: list[np.ndarray] = []
         lo0, hi0 = lo - 1, hi - 1

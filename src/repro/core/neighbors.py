@@ -32,9 +32,6 @@ class DistanceCounter:
     def add(self, n: int) -> None:
         self.count += int(n)
 
-    def reset(self) -> None:
-        self.count = 0
-
 
 def dist_batch(
     q: np.ndarray, x: np.ndarray, counter: DistanceCounter | None = None

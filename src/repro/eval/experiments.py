@@ -168,11 +168,21 @@ def build_suite(
     )
 
 
-def search_fn(index) -> callable:
-    """Adapt an index to the harness signature (qv, query, beam, k, c)."""
+def search_fn(index, **kw) -> callable:
+    """Adapt an index to the harness signature (qv, query, beam, k, c).
+
+    Single-attribute queries call ``index.search(qv, lo, hi, ...)``;
+    conjunctive ones (``q.lo2`` set) call ``index.search(qv, (lo, hi),
+    (lo2, hi2), ..., seed=q.qid)``. ``kw`` is passed through (e.g.
+    ``skip_layers=False`` or a multi-attribute ``mode``).
+    """
 
     def fn(qv: np.ndarray, q: RangeQuery, beam: int, k: int, counter):
-        return index.search(qv, q.lo, q.hi, beam=beam, k=k, counter=counter)
+        if q.lo2 is None:
+            return index.search(qv, q.lo, q.hi, beam=beam, k=k,
+                                counter=counter, **kw)
+        return index.search(qv, (q.lo, q.hi), (q.lo2, q.hi2), beam=beam,
+                            k=k, counter=counter, seed=q.qid, **kw)
 
     return fn
 
@@ -253,14 +263,9 @@ def run_fig3(
     wl = mixed_workload(ds.n, nq, seed=seed)
     gt = ground_truth_spark(spark, ds.vectors, wl, ds.queries, k=k)
 
-    def noskip_fn(qv, q, beam, k, counter):
-        return ir.search(
-            qv, q.lo, q.hi, beam=beam, k=k, counter=counter, skip_layers=False
-        )
-
     variants = {
         "iRangeGraph": search_fn(ir),
-        "iRangeGraph-": noskip_fn,
+        "iRangeGraph-": search_fn(ir, skip_layers=False),
         "BasicSearch": search_fn(BasicSearchIndex(ir)),
     }
     out = {"dataset": ds.name, "variants": {}}
@@ -321,35 +326,17 @@ def run_fig5(
     )
     multi = MultiAttrIndex(suite.indexes["iRangeGraph"], ds.attr2_rank)
 
-    def multi_fn(mode):
-        def fn(qv, q, beam, k, counter):
-            return multi.search(
-                qv, (q.lo, q.hi), (q.lo2, q.hi2), beam=beam, k=k,
-                mode=mode, counter=counter, seed=q.qid,
-            )
-
-        return fn
-
-    def conj_fn(index):
-        def fn(qv, q, beam, k, counter):
-            return index.search(
-                qv, (q.lo, q.hi), (q.lo2, q.hi2), beam=beam, k=k,
-                counter=counter,
-            )
-
-        return fn
-
     methods = {
-        "iRangeGraph+": multi_fn("prob"),
-        "iRangeGraph": multi_fn("post"),
-        "2DSegmentGraph": conj_fn(
+        "iRangeGraph+": search_fn(multi, mode="prob"),
+        "iRangeGraph": search_fn(multi, mode="post"),
+        "2DSegmentGraph": search_fn(
             ConjunctivePostFilter(suite.indexes["2DSegmentGraph"],
                                   ds.attr2_rank)
         ),
-        "Milvus": conj_fn(
+        "Milvus": search_fn(
             ConjunctivePostFilter(suite.indexes["Milvus"], ds.attr2_rank)
         ),
-        "Pre-filtering": conj_fn(
+        "Pre-filtering": search_fn(
             ConjunctivePrefilter(ds.vectors, ds.attr2_rank)
         ),
     }

@@ -7,8 +7,8 @@ The exact top-k in-range neighbors per query, computed two ways:
 * :func:`ground_truth_spark` — the same answers as a Spark dataflow:
   queries as a DataFrame, ``mapInPandas`` over query batches scoring the
   (closure-captured) vector matrix. This is the pipeline benchmarks use;
-  a test cross-checks it against a DuckDB SQL formulation via
-  ``repro.oracle``.
+  a test cross-checks it against a DuckDB SQL formulation via the
+  test-only oracle ``tests/_duckdb_oracle.py``.
 
 Ids everywhere are 1-based attribute-1 ranks.
 """

@@ -4,7 +4,8 @@ A straightforward copy of the original RNG prune, which tests every
 candidate against the stacked vectors of all kept ones, the brute-force
 leaf builder with its per-pair Python ``any``, and the parent-segment
 builder that maps a child row to local ids on every beam-search
-expansion. The optimized kernels in ``repro.core`` must return exactly
+expansion, and FilteredVamana's own insertion loop from before it became
+``build_hnsw(labels=...)``. The optimized kernels in ``repro.core`` must return exactly
 what these return.
 """
 from __future__ import annotations
@@ -92,3 +93,43 @@ def build_parent_segment(seg, ranks, vecs, child_nbrs, m, ef):
         cand_local = np.asarray([rank_to_local[c] for c in cand_arr])
         out.append(rng_prune(vecs[i], cand_arr, vecs[cand_local], m))
     return out
+
+
+def filtered_vamana(vectors, label, m, ef, seed):
+    """FilteredVamana's original insert-and-repair loop, kept apart from
+    HNSW-lite's: returns the padded adjacency and ``label -> first
+    inserted node``."""
+    vectors = np.ascontiguousarray(vectors, dtype=np.float32)
+    n = len(vectors)
+    order = np.random.default_rng(seed).permutation(n)
+    adj_lists: list[list[int]] = [[] for _ in range(n)]
+    seen_first: dict[int, int] = {}
+
+    def nbrs(u):
+        return np.asarray(adj_lists[u], dtype=np.int64)
+
+    for u in order:
+        u = int(u)
+        b = int(label[u])
+        if b not in seen_first:
+            seen_first[b] = u
+            continue
+        ids, dists = beam_search(
+            vectors[u], vectors, nbrs, [seen_first[b]], beam=ef,
+            visit_filter=lambda v: label[v] == b,
+        )
+        cand = ids[np.argsort(dists, kind="stable")[:ef]]
+        kept = rng_prune(vectors[u], cand, vectors[cand], m)
+        adj_lists[u] = [int(v) for v in kept]
+        for v in adj_lists[u]:
+            lst = adj_lists[v]
+            lst.append(u)
+            if len(lst) > m:
+                cv = np.asarray(lst, dtype=np.int64)
+                adj_lists[v] = [
+                    int(x) for x in rng_prune(vectors[v], cv, vectors[cv], m)
+                ]
+    adj = np.full((n, m), -1, dtype=np.int32)
+    for u, lst in enumerate(adj_lists):
+        adj[u, : len(lst)] = lst[:m]
+    return adj, seen_first

@@ -2,8 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.basic_strategies import (InfilterIndex, PrefilterIndex,
-                                              PostfilterIndex)
+from repro.baselines.basic_strategies import PrefilterIndex
 from repro.core.neighbors import DistanceCounter
 
 
@@ -78,11 +77,6 @@ class TestPostfilter:
 
         assert recall(1, 256) >= recall(100, 115) - 1e-9
 
-    def test_facade(self, small_data):
-        idx = PostfilterIndex(small_data[0], m=8, ef=40, seed=1)
-        res = idx.search(small_data[1][0], 1, 256, beam=30, k=5)
-        assert len(res) == 5
-
 
 class TestInfilter:
     def test_results_in_range(self, whole_graph, small_data):
@@ -113,8 +107,3 @@ class TestInfilter:
         with pytest.raises(ValueError):
             whole_graph.search(small_data[1][0], 1, 10, beam=5, k=3,
                                mode="bogus")
-
-    def test_facade(self, small_data):
-        idx = InfilterIndex(small_data[0], m=8, ef=40, seed=2)
-        res = idx.search(small_data[1][0], 50, 200, beam=30, k=5)
-        assert np.all((res >= 50) & (res <= 200))

@@ -4,7 +4,8 @@
 the per-pair brute-force leaf builder and the parent-segment builder
 that maps child rows to local ids on every expansion. Their output is
 compared against ``repro.core`` directly, through the iRangeGraph build,
-through HNSW-lite (with its edge history) and through FilteredVamana.
+through HNSW-lite (with its edge history) and through FilteredVamana,
+whose original loop the reference keeps as well.
 """
 import numpy as np
 import pytest
@@ -129,9 +130,22 @@ def test_hnsw_with_history_matches_reference(monkeypatch):
 
 
 def test_filtered_vamana_matches_reference(monkeypatch):
-    X, _ = make_clustered(300, 16, seed=10)
-    got = FilteredVamanaIndex(X, n_labels=5, m=6, ef=30)
-    monkeypatch.setattr(rp, "rng_prune", ref.rng_prune)
-    want = FilteredVamanaIndex(X, n_labels=5, m=6, ef=30)
-    np.testing.assert_array_equal(got.adj, want.adj)
-    np.testing.assert_array_equal(got.medoids, want.medoids)
+    """``build_hnsw(labels=...)`` rebuilds the original FilteredVamana
+    loop exactly: adjacency and per-label first nodes. Seed 3 adds
+    duplicated vectors, inside one label and across two."""
+    for seed in range(4):
+        X, _ = make_clustered(300, 16, seed=10 + seed)
+        if seed == 3:
+            X[7] = X[8]
+            X[150] = X[20]
+        got = FilteredVamanaIndex(X, n_labels=5, m=6, ef=30, seed=seed)
+        want_adj, want_medoids = ref.filtered_vamana(X, got.label, 6, 30,
+                                                     seed)
+        with monkeypatch.context() as mp:
+            mp.setattr(hnsw, "rng_prune", ref.rng_prune)
+            patched = FilteredVamanaIndex(X, n_labels=5, m=6, ef=30,
+                                          seed=seed)
+        for idx in (got, patched):
+            assert idx.adj.dtype == want_adj.dtype
+            np.testing.assert_array_equal(idx.adj, want_adj)
+            assert idx.medoids == want_medoids

@@ -9,7 +9,7 @@ import pytest
 
 from repro.eval.datasets import (SPECS, generate_raw, load_dataset,
                                  rank_order_spark, table1_rows)
-from repro.oracle import assert_equivalent
+from tests._duckdb_oracle import assert_equivalent
 
 
 @pytest.mark.parametrize("name", list(SPECS))

@@ -78,3 +78,19 @@ def test_memory_and_empty_range(fixture, request, med_data):
     idx = request.getfixturevalue(fixture)
     assert idx.memory_bytes()["index"] > 0
     assert len(idx.search(med_data[1][0], 9, 3, beam=10, k=5)) == 0
+
+
+@pytest.mark.parametrize("cls", [FilteredVamanaIndex, StitchedVamanaIndex])
+def test_more_labels_than_points(cls):
+    """n=6 with 10 labels leaves empty buckets; medoids are keyed by
+    label, so both builds and every search still work (each label holds
+    at most one node, so a search scores its whole range)."""
+    from tests.conftest import make_clustered
+
+    X, Q = make_clustered(6, 8, seed=3, nq=4)
+    idx = cls(X, n_labels=10, m=4, ef=10)
+    for q in Q:
+        for lo, hi in [(1, 6), (2, 4), (3, 3), (5, 6), (0, 9)]:
+            res = idx.search(q, lo, hi, beam=10, k=3)
+            want, _ = exact_rfann_np(X, q, max(1, lo), min(6, hi), 3)
+            np.testing.assert_array_equal(res, want)

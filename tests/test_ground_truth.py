@@ -6,7 +6,7 @@ import pytest
 from repro.eval.ground_truth import (exact_rfann_np, ground_truth_spark,
                                      queries_to_pdf)
 from repro.eval.workloads import RangeQuery, mixed_workload
-from repro.oracle import assert_equivalent
+from tests._duckdb_oracle import assert_equivalent
 
 
 def test_exact_rfann_np_basic(small_data):
@@ -110,3 +110,26 @@ def test_queries_to_pdf_encoding(small_data):
     assert pdf.loc[0, "lo2"] == -1  # single-attribute sentinel
     assert pdf.loc[1, "lo2"] == 2 and pdf.loc[1, "hi2"] == 8
     assert len(pdf.loc[0, "qvec"]) == Q.shape[1]
+
+
+def test_oracle_catches_wrong_result(spark, small_data):
+    """The DuckDB oracle's self-check: an off-by-one Spark count of the
+    in-range objects per query must fail the comparison."""
+    from pyspark.sql import functions as F
+
+    X, _ = small_data
+    wl = mixed_workload(len(X), 8, max_exp=3, seed=4)
+    pdf = pd.DataFrame(
+        [(q.qid, r) for q in wl for r in range(q.lo, q.hi + 1)],
+        columns=["qid", "rank"],
+    )
+    wrong = (
+        spark.createDataFrame(pdf)
+        .groupBy("qid")
+        .agg((F.count(F.lit(1)) + 1).alias("cnt"))  # off-by-one
+    )
+    with pytest.raises(AssertionError):
+        assert_equivalent(
+            wrong, "SELECT qid, COUNT(*) AS cnt FROM hits GROUP BY qid",
+            hits=pdf,
+        )

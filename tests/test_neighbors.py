@@ -22,8 +22,6 @@ def test_dist_batch_counter_accumulates():
     dist_batch(np.zeros(2), x, c)
     dist_batch(np.zeros(2), x, c)
     assert c.count == 6
-    c.reset()
-    assert c.count == 0
 
 
 def test_pairwise_sq_symmetric_nonnegative():
