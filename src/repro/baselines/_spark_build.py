@@ -3,20 +3,18 @@
 Milvus-like partitions, SuperPostfiltering windows, StitchedVamana label
 buckets and Oracle-HNSW ranges all need "a proximity graph per rank
 subset". This helper builds them on the driver or as one Spark job
-(``groupBy(gid).applyInPandas`` over ``(gid, rank)`` rows, one subset per
-group), with the same per-subset build either way, and returns
-searchable :class:`SubsetGraph` objects.
+(``mapInPandas`` over one row of gids per task), with the same
+per-subset build either way, and returns searchable :class:`SubsetGraph`
+objects.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 
 from repro.core.hnsw import FlatGraph, build_hnsw
-from repro.core.neighbors import (DistanceCounter, adjacency_bytes,
-                                  pack_neighbors)
+from repro.core.neighbors import DistanceCounter, adjacency_bytes
 
 
 @dataclass
@@ -77,57 +75,55 @@ def build_subset_graphs(
     """Build one HNSW-lite per subset (``gid -> sorted 1-based ranks``).
 
     Both executors call the same ``build_one``. With ``spark=None`` the
-    driver loops over the subsets; with a SparkSession each subset is one
-    ``applyInPandas`` group of ``(gid, rank)`` rows, the vectors travel in
-    the function's closure, and the driver packs the returned neighbor
-    lists back into padded adjacencies. Deterministic: each subset's
-    insertion order comes from a seeded permutation keyed by
-    ``(seed, gid)``, so both executors build identical graphs.
+    driver loops over the subsets; with a SparkSession one
+    ``mapInPandas`` job (no shuffle) builds them in ``defaultParallelism``
+    tasks balanced by subset size, each task a row of gids. The vectors
+    and ranks travel in the function's closure, and each graph's
+    adjacency comes back as bytes. Deterministic: each subset's insertion
+    order comes from a seeded permutation keyed by ``(seed, gid)``, so
+    both executors build identical graphs.
     """
     vectors = np.ascontiguousarray(vectors, dtype=np.float32)
+    subsets = {int(gid): np.sort(np.asarray(r, dtype=np.int64))
+               for gid, r in subsets.items()}
 
-    def build_one(gid: int, ranks: np.ndarray) -> SubsetGraph:
-        ranks = np.sort(np.asarray(ranks, dtype=np.int64))
-        sub = vectors[ranks - 1]
+    def build_one(gid: int, ranks: np.ndarray) -> FlatGraph:
         order = np.random.default_rng((seed, gid)).permutation(len(ranks))
-        g = build_hnsw(sub, m=m, ef_construction=ef, order=order)
-        return SubsetGraph(ranks=ranks, graph=g)
+        return build_hnsw(vectors[ranks - 1], m=m, ef_construction=ef,
+                          order=order)
 
     if spark is None:
-        return {gid: build_one(gid, r) for gid, r in subsets.items()}
+        graphs = {gid: build_one(gid, r) for gid, r in subsets.items()}
+    else:
+        def build(frames):
+            for pdf in frames:
+                pdf = pdf.explode("gid").astype({"gid": "int64"})
+                built = [build_one(g, subsets[g]) for g in pdf["gid"].tolist()]
+                yield pdf.assign(adj=[g.adj.tobytes() for g in built],
+                                 entry=[g.entry for g in built])
 
-    pdf = pd.DataFrame(
-        [(int(gid), int(r)) for gid, ranks in subsets.items() for r in ranks],
-        columns=["gid", "rank"],
-    )
-
-    def build_group(g: pd.DataFrame) -> pd.DataFrame:
-        gid = int(g["gid"].iloc[0])
-        sg = build_one(gid, g["rank"].to_numpy())
-        return pd.DataFrame(
-            {
-                "gid": gid,
-                "rank": sg.ranks,
-                "nbrs": [row[row >= 0].tolist() for row in sg.graph.adj],
-                "entry": int(sg.graph.entry),
-            }
+        # A few tasks, not one per subset: local Spark spends ~0.3 s of a
+        # core on every Python task. Largest subsets first, each to the
+        # least-loaded of defaultParallelism tasks, one row per task.
+        tasks = [[] for _ in range(min(len(subsets),
+                                       spark.sparkContext.defaultParallelism))]
+        load = [0] * len(tasks)
+        for gid in sorted(subsets, key=lambda g: -len(subsets[g])):
+            k = load.index(min(load))
+            tasks[k].append(gid)
+            load[k] += len(subsets[gid])
+        out = (
+            spark.createDataFrame([(t,) for t in tasks], "gid array<long>")
+            .mapInPandas(build, "gid long, adj binary, entry long")
+            .toPandas()
         )
-
-    out = (
-        spark.createDataFrame(pdf)
-        .groupBy("gid")
-        .applyInPandas(
-            build_group, "gid int, rank long, nbrs array<int>, entry int"
-        )
-        .toPandas()
-    )
-    result: dict[int, SubsetGraph] = {}
-    for gid, grp in out.groupby("gid"):
-        grp = grp.sort_values("rank")
-        ranks = grp["rank"].to_numpy(dtype=np.int64)
-        adj = pack_neighbors(list(grp["nbrs"]), m)
-        graph = FlatGraph(
-            vectors=vectors[ranks - 1], adj=adj, entry=int(grp["entry"].iloc[0])
-        )
-        result[int(gid)] = SubsetGraph(ranks=ranks, graph=graph)
-    return result
+        graphs = {
+            int(row.gid): FlatGraph(
+                vectors=vectors[subsets[int(row.gid)] - 1],
+                adj=np.frombuffer(row.adj, dtype=np.int32).reshape(-1, m),
+                entry=int(row.entry),
+            )
+            for row in out.itertuples()
+        }
+    return {gid: SubsetGraph(ranks=subsets[gid], graph=g)
+            for gid, g in graphs.items()}

@@ -1,35 +1,42 @@
 """Materializing the elemental graphs (paper Section 3.2), bottom-up.
 
-Two equivalent builders share the same per-segment kernels:
+One builder, two executors. The builder walks the tree layers deepest
+first and carries one ``(n, m)`` int32 ``child`` adjacency: the graph of
+the next-deeper layer, in which every row that layer built is
+overwritten and nodes whose leaf sits higher keep their deepest row. A
+layer is a list of tasks ``(seg_lo, seg_hi, row_lo, row_hi)``: a leaf
+segment is one task (exact approximate-RNG over its points), a parent
+segment is split into row chunks, because once its children's graphs
+exist every node of it builds independently:
 
-* :func:`build_irange_index_local` — plain-numpy loop over segments on
-  the driver; the build that perfbench's ``mixed`` and ``multiattr``
-  workloads and Table 3's driver-local column time, and the tests' build.
-* :func:`build_irange_index` — the Spark dataflow: one job per tree
-  layer, ``groupBy(segment).applyInPandas`` building every segment of the
-  layer in parallel. Layer ``i`` consumes layer ``i+1``'s adjacency
-  (child graphs) via a join, which is the paper's bottom-up reuse:
+- **case 1** (candidates from the child containing ``u``): copy ``u``'s
+  edges in the child elemental graph — anything else in that child is
+  already RNG-pruned there, hence would be pruned in the parent too;
+- **case 2** (candidates from the other child): beam-search the other
+  child's elemental graph for ``EF`` approximate nearest neighbors;
 
-  - **case 1** (candidates from the child containing ``u``): copy ``u``'s
-    edges in the child elemental graph — anything else in that child is
-    already RNG-pruned there, hence would be pruned in the parent too;
-  - **case 2** (candidates from the other child): beam-search the other
-    child's elemental graph for ``EF`` approximate nearest neighbors;
+then RNG-prune the union to at most ``m`` out-edges. A task returns its
+rows as a packed ``(rows, m)`` int32 block of 0-based ids.
 
-  then RNG-prune the union to at most ``m`` out-edges.
+* :func:`build_irange_index_local` maps the tasks in a driver loop, one
+  task per segment; perfbench's ``mixed`` and ``multiattr`` workloads,
+  Table 3's driver-local column and the tests time this build.
+* :func:`build_irange_index` runs each layer as one Spark job: a
+  ``mapInPandas`` over a DataFrame of the layer's tasks, with the vectors
+  and the ``child`` array in the function's closure, so no row is joined
+  or shuffled. Parent segments are split so that a layer has at least
+  ``defaultParallelism`` tasks; each task's block comes back as bytes.
 
-Both builders are deterministic, so they produce identical indexes — a
-unit test asserts this. Adjacency flows through the pipeline keyed by
-global 1-based rank; the driver packs per-layer ``(n, m)`` arrays.
+Both executors run the same deterministic kernels on the same rows, so
+they produce identical indexes — unit tests assert this.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from repro.core.beam_search import beam_search
 from repro.core.irange_graph import IRangeGraphIndex
-from repro.core.neighbors import empty_adjacency
+from repro.core.neighbors import empty_adjacency, pack_neighbors
 from repro.core.rng_prune import brute_force_rng, rng_prune
 from repro.core.segment_tree import Segment, SegmentTree
 
@@ -55,12 +62,13 @@ def build_parent_segment(
     child_nbrs: list[np.ndarray],
     m: int,
     ef: int,
+    rows: range | None = None,
 ) -> list[np.ndarray]:
     """Build one parent segment's elemental graph from its two children.
 
     ``ranks`` must be sorted ascending; ``child_nbrs[i]`` is row ``i``'s
-    adjacency (global ranks) in its child's elemental graph. Returns
-    per-row out-neighbors as global ranks.
+    adjacency (global ranks) in its child's elemental graph. Returns the
+    out-neighbors (global ranks) of the local ``rows`` (default: all).
     """
     mid = (seg.lo + seg.hi) // 2
     is_left = ranks <= mid
@@ -74,7 +82,7 @@ def build_parent_segment(
     left, right = np.nonzero(is_left)[0], np.nonzero(~is_left)[0]
 
     out: list[np.ndarray] = []
-    for i in range(len(ranks)):
+    for i in range(len(ranks)) if rows is None else rows:
         other = right if is_left[i] else left
         # case 1: u's edges in its own child graph survive as candidates.
         cand = child_nbrs[i].tolist()
@@ -94,7 +102,62 @@ def build_parent_segment(
     return out
 
 
-# ------------------------------------------------------------- local build
+# ------------------------------------------------------------------ builder
+def _layer_tasks(tree: SegmentTree, layer: int,
+                 parallelism: int) -> list[tuple[int, int, int, int]]:
+    """The layer's tasks ``(seg_lo, seg_hi, row_lo, row_hi)``, rows local
+    and half-open: one per leaf segment, and each parent segment split
+    into ``ceil(parallelism / segments)`` contiguous row chunks."""
+    segs = tree.segments_at(layer)
+    chunks = -(-parallelism // len(segs))
+    tasks = []
+    for s in segs:
+        k = 1 if tree.is_leaf(s) else min(chunks, len(s))
+        bounds = [len(s) * j // k for j in range(k + 1)]
+        tasks += [(s.lo, s.hi, a, b) for a, b in zip(bounds, bounds[1:])]
+    return tasks
+
+
+def _build_task(task, layer: int, vectors: np.ndarray, child: np.ndarray,
+                leaf_size: int, m: int, ef: int) -> np.ndarray:
+    """One task's rows as a packed ``(row_hi - row_lo, m)`` int32 block.
+
+    Leaf tasks cover their whole segment; a parent task reads its whole
+    segment's rows of ``child`` (the 0-based adjacency one layer down).
+    """
+    seg_lo, seg_hi, row_lo, row_hi = (int(x) for x in task)
+    ranks = np.arange(seg_lo, seg_hi + 1, dtype=np.int64)
+    vecs = vectors[seg_lo - 1:seg_hi]
+    if seg_hi - seg_lo + 1 <= leaf_size:
+        nbrs = build_leaf_segment(ranks, vecs, m)
+    else:
+        # Rows are packed from the left, so each row's edges are a prefix.
+        adj = child[seg_lo - 1:seg_hi].astype(np.int64) + 1
+        child_nbrs = [row[:k] for row, k in
+                      zip(adj, (adj > 0).sum(axis=1).tolist())]
+        nbrs = build_parent_segment(Segment(layer, seg_lo, seg_hi), ranks,
+                                    vecs, child_nbrs, m, ef,
+                                    rows=range(row_lo, row_hi))
+    return pack_neighbors([nb - 1 for nb in nbrs], m)
+
+
+def _build(vectors: np.ndarray, tree: SegmentTree, m: int, parallelism: int,
+           run_layer) -> IRangeGraphIndex:
+    """Bottom-up over the layers; ``run_layer(layer, tasks, child)``
+    returns one block per task, in task order."""
+    n = len(vectors)
+    child = empty_adjacency(n, m)
+    layer_adj = [empty_adjacency(n, m) for _ in range(tree.num_layers)]
+    for layer in range(tree.num_layers - 1, -1, -1):
+        tasks = _layer_tasks(tree, layer, parallelism)
+        blocks = run_layer(layer, tasks, child)
+        for (seg_lo, _, row_lo, row_hi), block in zip(tasks, blocks):
+            rows = slice(seg_lo - 1 + row_lo, seg_lo - 1 + row_hi)
+            layer_adj[layer][rows] = child[rows] = block
+    return IRangeGraphIndex(vectors=vectors, tree=tree, layer_adj=layer_adj, m=m)
+
+
+# ------------------------------------------------------------ driver build
 def build_irange_index_local(
     vectors: np.ndarray,
     *,
@@ -102,33 +165,15 @@ def build_irange_index_local(
     ef: int = DEFAULT_EF,
     leaf_size: int = DEFAULT_LEAF,
 ) -> IRangeGraphIndex:
-    """Driver-only bottom-up build (reference implementation)."""
+    """Driver-only bottom-up build: the layer's tasks in a plain loop."""
     vectors = np.ascontiguousarray(vectors, dtype=np.float32)
-    n = len(vectors)
-    tree = SegmentTree(n, leaf_size)
-    layer_adj = [empty_adjacency(n, m) for _ in range(tree.num_layers)]
-    # prev_nbrs[rank] = adjacency (ranks) in the next-deeper layer's graph.
-    prev_nbrs: dict[int, np.ndarray] = {}
-    for layer in range(tree.num_layers - 1, -1, -1):
-        cur: dict[int, np.ndarray] = {}
-        for seg in tree.segments_at(layer):
-            ranks = np.arange(seg.lo, seg.hi + 1, dtype=np.int64)
-            vecs = vectors[ranks - 1]
-            if tree.is_leaf(seg):
-                nbrs = build_leaf_segment(ranks, vecs, m)
-            else:
-                child = [prev_nbrs[int(r)] for r in ranks]
-                nbrs = build_parent_segment(seg, ranks, vecs, child, m, ef)
-            for r, nb in zip(ranks, nbrs):
-                cur[int(r)] = np.asarray(nb, dtype=np.int64)
-                k = min(len(nb), m)
-                layer_adj[layer][r - 1, :k] = np.asarray(nb[:k]) - 1
-        # Leaves above deeper layers keep their (deepest) adjacency so the
-        # next parent layer up can consume every child row.
-        merged = dict(prev_nbrs)
-        merged.update(cur)
-        prev_nbrs = merged
-    return IRangeGraphIndex(vectors=vectors, tree=tree, layer_adj=layer_adj, m=m)
+    tree = SegmentTree(len(vectors), leaf_size)
+
+    def run_layer(layer, tasks, child):
+        return [_build_task(t, layer, vectors, child, leaf_size, m, ef)
+                for t in tasks]
+
+    return _build(vectors, tree, m, 1, run_layer)
 
 
 # ------------------------------------------------------------- spark build
@@ -142,98 +187,35 @@ def build_irange_index(
 ) -> IRangeGraphIndex:
     """Distributed bottom-up build.
 
-    ``vectors_df`` has columns ``rank`` (1-based long, dense, contiguous)
-    and ``vector`` (array<float>). One Spark job per tree layer; segments
-    of a layer build independently inside ``applyInPandas``.
+    ``vectors_df`` has columns ``rank`` (1-based long, dense 1..n) and
+    ``vector`` (array<float>). One Spark job per tree layer: each task
+    row builds its rows inside ``mapInPandas``.
     """
-    from pyspark.sql import functions as F
-    from pyspark.sql.types import (ArrayType, IntegerType, LongType,
-                                   StructField, StructType)
-
     pdf_all = vectors_df.select("rank", "vector").orderBy("rank").toPandas()
     n = len(pdf_all)
+    if not np.array_equal(pdf_all["rank"].to_numpy(), np.arange(1, n + 1)):
+        raise ValueError("rank column must be dense 1..n")
     vectors = np.ascontiguousarray(
         np.stack(pdf_all["vector"].to_numpy()), dtype=np.float32
     )
-    assert pdf_all["rank"].iloc[0] == 1 and pdf_all["rank"].iloc[-1] == n, (
-        "rank column must be dense 1..n"
-    )
     tree = SegmentTree(n, leaf_size)
 
-    out_schema = StructType(
-        [
-            StructField("rank", LongType()),
-            StructField("nbrs", ArrayType(IntegerType())),
-        ]
-    )
+    def run_layer(layer, tasks, child):
+        def build(frames):
+            for pdf in frames:
+                yield pdf[["task"]].assign(block=[
+                    _build_task(t[1:], layer, vectors, child, leaf_size, m,
+                                ef).tobytes()
+                    for t in pdf.itertuples(index=False)
+                ])
 
-    base = vectors_df.select("rank", "vector")
-    # prev_adj_df: (rank, nbrs) adjacency of the next-deeper layer.
-    prev_adj_df = None
-    layer_pdfs: list[pd.DataFrame] = []
-
-    for layer in range(tree.num_layers - 1, -1, -1):
-        segs = tree.segments_at(layer)
-        seg_lo = np.asarray([s.lo for s in segs], dtype=np.int64)
-        seg_hi = np.asarray([s.hi for s in segs], dtype=np.int64)
-        seg_by_lo = {int(s.lo): s for s in segs}
-        member_lo = F.udf(
-            lambda r: int(seg_lo[np.searchsorted(seg_lo, r, side="right") - 1]),
-            LongType(),
+        task_df = spark.createDataFrame(
+            [(i, *t) for i, t in enumerate(tasks)],
+            "task long, seg_lo long, seg_hi long, row_lo long, row_hi long",
         )
-        df = base.withColumn("seg_lo", member_lo(F.col("rank")))
-        # Drop ranks outside every layer-`layer` segment (possible only
-        # for non-uniform trees where some leaves sit above this layer).
-        hi_by_lo = {int(l): int(h) for l, h in zip(seg_lo, seg_hi)}
-        in_layer = F.udf(lambda r, lo: bool(r <= hi_by_lo[lo]), "boolean")
-        df = df.where(in_layer(F.col("rank"), F.col("seg_lo")))
-        if prev_adj_df is not None:
-            df = df.join(prev_adj_df, on="rank", how="left")
-        else:
-            df = df.withColumn("nbrs", F.lit(None).cast(ArrayType(IntegerType())))
+        out = task_df.mapInPandas(build, "task long, block binary").toPandas()
+        return [np.frombuffer(b, dtype=np.int32).reshape(-1, m)
+                for b in out.sort_values("task")["block"]]
 
-        def build_group(pdf: pd.DataFrame) -> pd.DataFrame:
-            pdf = pdf.sort_values("rank").reset_index(drop=True)
-            seg = seg_by_lo[int(pdf["seg_lo"].iloc[0])]
-            ranks = pdf["rank"].to_numpy(dtype=np.int64)
-            vecs = np.ascontiguousarray(
-                np.stack(pdf["vector"].to_numpy()), dtype=np.float32
-            )
-            if len(seg) <= tree.leaf_size:
-                nbrs = build_leaf_segment(ranks, vecs, m)
-            else:
-                child = [
-                    np.asarray(x, dtype=np.int64)
-                    if x is not None and not (np.isscalar(x) and pd.isna(x))
-                    else np.empty(0, dtype=np.int64)
-                    for x in pdf["nbrs"]
-                ]
-                nbrs = build_parent_segment(seg, ranks, vecs, child, m, ef)
-            return pd.DataFrame(
-                {
-                    "rank": ranks,
-                    "nbrs": [np.asarray(nb, dtype=np.int32) for nb in nbrs],
-                }
-            )
-
-        adj_df = df.groupBy("seg_lo").applyInPandas(build_group, out_schema)
-        layer_pdf = adj_df.toPandas()
-        layer_pdfs.append((layer, layer_pdf))
-        # Next (shallower) layer consumes this layer's graphs; rows whose
-        # leaf sits above keep their previously computed adjacency.
-        if prev_adj_df is None:
-            prev_adj_df = spark.createDataFrame(layer_pdf, schema=out_schema)
-        else:
-            built = set(layer_pdf["rank"].tolist())
-            prev_pdf = prev_adj_df.toPandas()
-            keep = prev_pdf[~prev_pdf["rank"].isin(built)]
-            merged = pd.concat([layer_pdf, keep], ignore_index=True)
-            prev_adj_df = spark.createDataFrame(merged, schema=out_schema)
-
-    layer_adj = [empty_adjacency(n, m) for _ in range(tree.num_layers)]
-    for layer, pdf in layer_pdfs:
-        for r, nb in zip(pdf["rank"].to_numpy(), pdf["nbrs"]):
-            nb = np.asarray(nb, dtype=np.int64)
-            k = min(len(nb), m)
-            layer_adj[layer][int(r) - 1, :k] = nb[:k] - 1
-    return IRangeGraphIndex(vectors=vectors, tree=tree, layer_adj=layer_adj, m=m)
+    return _build(vectors, tree, m, spark.sparkContext.defaultParallelism,
+                  run_layer)

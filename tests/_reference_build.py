@@ -4,9 +4,10 @@ A straightforward copy of the original RNG prune, which tests every
 candidate against the stacked vectors of all kept ones, the brute-force
 leaf builder with its per-pair Python ``any``, and the parent-segment
 builder that maps a child row to local ids on every beam-search
-expansion, and FilteredVamana's own insertion loop from before it became
-``build_hnsw(labels=...)``. The optimized kernels in ``repro.core`` must return exactly
-what these return.
+expansion, the original layer loop of the iRangeGraph build, and
+FilteredVamana's own insertion loop from before it became
+``build_hnsw(labels=...)``. The optimized kernels and builders in
+``repro.core`` must return exactly what these return.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from repro.core.beam_search import beam_search
 from repro.core.neighbors import pairwise_sq
+from repro.core.segment_tree import SegmentTree
 
 
 def rng_prune(u_vec, cand_ids, cand_vecs, m, *, alpha=1.0):
@@ -65,7 +67,7 @@ def brute_force_rng(vecs, m, *, alpha=1.0):
     return out
 
 
-def build_parent_segment(seg, ranks, vecs, child_nbrs, m, ef):
+def build_parent_segment(seg, ranks, vecs, child_nbrs, m, ef, rows=None):
     mid = (seg.lo + seg.hi) // 2
     is_left = ranks <= mid
     rank_to_local = {int(r): i for i, r in enumerate(ranks)}
@@ -92,7 +94,35 @@ def build_parent_segment(seg, ranks, vecs, child_nbrs, m, ef):
         cand_arr = np.asarray(cand, dtype=np.int64)
         cand_local = np.asarray([rank_to_local[c] for c in cand_arr])
         out.append(rng_prune(vecs[i], cand_arr, vecs[cand_local], m))
-    return out
+    return out if rows is None else out[rows.start:rows.stop]
+
+
+def irange_layers(vectors, m, ef, leaf_size):
+    """The original iRangeGraph layer loop on these kernels: every
+    segment of a layer built whole, its rows kept in a dict keyed by rank
+    and merged over the next-deeper layer's dict. Returns the padded
+    per-layer adjacencies (0-based ids)."""
+    vectors = np.asarray(vectors, dtype=np.float32)
+    n = len(vectors)
+    tree = SegmentTree(n, leaf_size)
+    layer_adj = [np.full((n, m), -1, dtype=np.int32)
+                 for _ in range(tree.num_layers)]
+    prev_nbrs: dict[int, np.ndarray] = {}
+    for layer in range(tree.num_layers - 1, -1, -1):
+        cur: dict[int, np.ndarray] = {}
+        for seg in tree.segments_at(layer):
+            ranks = np.arange(seg.lo, seg.hi + 1, dtype=np.int64)
+            vecs = vectors[ranks - 1]
+            if tree.is_leaf(seg):
+                nbrs = [ranks[nb] for nb in brute_force_rng(vecs, m)]
+            else:
+                child = [prev_nbrs[int(r)] for r in ranks]
+                nbrs = build_parent_segment(seg, ranks, vecs, child, m, ef)
+            for r, nb in zip(ranks, nbrs):
+                cur[int(r)] = np.asarray(nb, dtype=np.int64)
+                layer_adj[layer][r - 1, :len(nb)] = cur[int(r)] - 1
+        prev_nbrs = {**prev_nbrs, **cur}
+    return layer_adj
 
 
 def filtered_vamana(vectors, label, m, ef, seed):

@@ -3,7 +3,8 @@
 ``tests/_reference_build.py`` holds the original per-candidate RNG prune,
 the per-pair brute-force leaf builder and the parent-segment builder
 that maps child rows to local ids on every expansion. Their output is
-compared against ``repro.core`` directly, through the iRangeGraph build,
+compared against ``repro.core`` directly, through the iRangeGraph build
+(whose original dict-merging layer loop the reference keeps too),
 through HNSW-lite (with its edge history) and through FilteredVamana,
 whose original loop the reference keeps as well.
 """
@@ -79,17 +80,21 @@ def test_brute_force_rng_matches_reference(n, alpha, dtype):
 
 
 def _reference_irange_build(monkeypatch, X, **kw):
+    """The build on the reference kernels, patched through the module
+    globals; it must also equal the reference layer loop."""
     with monkeypatch.context() as mp:
         mp.setattr(irange_build, "rng_prune", ref.rng_prune)
         mp.setattr(irange_build, "brute_force_rng", ref.brute_force_rng)
         mp.setattr(irange_build, "build_parent_segment",
                    ref.build_parent_segment)
-        return build_irange_index_local(X, **kw)
+        want = build_irange_index_local(X, **kw)
+    _assert_same_layers(want.layer_adj, ref.irange_layers(X, **kw))
+    return want
 
 
 def _assert_same_layers(got, want):
-    assert len(got.layer_adj) == len(want.layer_adj)
-    for g_adj, w_adj in zip(got.layer_adj, want.layer_adj):
+    assert len(got) == len(want)
+    for g_adj, w_adj in zip(got, want):
         assert g_adj.dtype == w_adj.dtype
         np.testing.assert_array_equal(g_adj, w_adj)
 
@@ -100,7 +105,7 @@ def test_irange_build_matches_reference(small_data, irange_index,
     X, _ = small_data
     assert irange_index.tree.num_layers == 4
     want = _reference_irange_build(monkeypatch, X, m=8, ef=50, leaf_size=32)
-    _assert_same_layers(irange_index, want)
+    _assert_same_layers(irange_index.layer_adj, want.layer_adj)
 
 
 def test_uneven_irange_build_matches_reference(monkeypatch):
@@ -114,7 +119,7 @@ def test_uneven_irange_build_matches_reference(monkeypatch):
     assert len(leaf_layers) == 2
     got = build_irange_index_local(X, m=6, ef=4, leaf_size=16)
     want = _reference_irange_build(monkeypatch, X, m=6, ef=4, leaf_size=16)
-    _assert_same_layers(got, want)
+    _assert_same_layers(got.layer_adj, want.layer_adj)
 
 
 def test_hnsw_with_history_matches_reference(monkeypatch):

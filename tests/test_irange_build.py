@@ -2,11 +2,11 @@
 import numpy as np
 import pytest
 
-from repro.core.irange_build import (build_irange_index_local,
+from repro.core.irange_build import (_layer_tasks, build_irange_index_local,
                                      build_leaf_segment,
                                      build_parent_segment)
 from repro.core.rng_prune import brute_force_rng
-from repro.core.segment_tree import Segment
+from repro.core.segment_tree import Segment, SegmentTree
 from tests.conftest import make_clustered
 
 
@@ -50,6 +50,47 @@ def test_parent_reaches_across_children():
         if any((v > 32) != (u + 1 > 32) for v in nb)
     )
     assert crossing > 0
+
+
+def test_parent_segment_built_in_row_chunks_equals_whole():
+    X, _ = make_clustered(64, 8, seed=4)
+    seg = Segment(0, 1, 64)
+    ranks = np.arange(1, 65, dtype=np.int64)
+    child = build_leaf_segment(ranks[:32], X[:32], 4) + build_leaf_segment(
+        ranks[32:], X[32:], 4
+    )
+    whole = build_parent_segment(seg, ranks, X, child, m=4, ef=8)
+    split = [
+        nb for rows in (range(0, 27), range(27, 64))
+        for nb in build_parent_segment(seg, ranks, X, child, m=4, ef=8,
+                                       rows=rows)
+    ]
+    assert len(split) == len(whole) == 64
+    for a, b in zip(split, whole):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 3, 4])
+@pytest.mark.parametrize("n, leaf", [(134, 16), (256, 32), (20, 32), (7, 2)])
+def test_layer_tasks_cover_each_segment_once(n, leaf, parallelism):
+    """Every layer's tasks cover its segments' rows exactly once, stay
+    inside one segment, leave leaves whole and split each parent segment
+    into ceil(P / segments) chunks (lengths like 134 do not divide by 3
+    or 4)."""
+    tree = SegmentTree(n, leaf)
+    for layer in range(tree.num_layers):
+        segs = tree.segments_at(layer)
+        tasks = _layer_tasks(tree, layer, parallelism)
+        by_seg = {(s.lo, s.hi): [] for s in segs}
+        for seg_lo, seg_hi, row_lo, row_hi in tasks:
+            assert 0 <= row_lo < row_hi <= seg_hi - seg_lo + 1
+            by_seg[(seg_lo, seg_hi)].append((row_lo, row_hi))
+        chunks = -(-parallelism // len(segs))
+        for s in segs:
+            rows = by_seg[(s.lo, s.hi)]
+            covered = sorted(r for a, b in rows for r in range(a, b))
+            assert covered == list(range(len(s)))
+            assert len(rows) == (1 if tree.is_leaf(s) else min(chunks, len(s)))
 
 
 @pytest.fixture(scope="module")

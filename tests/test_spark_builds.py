@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.baselines._spark_build import build_subset_graphs
+from repro.baselines.superpostfilter import window_layout
 from repro.core.irange_build import (build_irange_index,
                                      build_irange_index_local)
 from tests.conftest import make_clustered
@@ -28,6 +29,36 @@ def test_spark_build_equals_local(spark, vec_df):
     for a, b in zip(idx_s.layer_adj, idx_l.layer_adj):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_allclose(idx_s.vectors, X)
+
+
+def _rank_df(spark, X, ranks):
+    pdf = pd.DataFrame({"rank": ranks, "vector": [v.tolist() for v in X]})
+    return spark.createDataFrame(pdf, "rank long, vector array<float>")
+
+
+@pytest.mark.parametrize("n, leaf", [(134, 16), (20, 32)])
+def test_spark_build_equals_local_uneven_and_single_leaf(spark, n, leaf):
+    """n=134, leaf 16 puts leaves on two layers, so parent rows read
+    ``child`` rows carried up from two layers down; n <= leaf is one
+    leaf. A beam of 4 keeps the case-2 searches far from exhaustive."""
+    X, _ = make_clustered(n, 16, seed=8)
+    idx_s = build_irange_index(spark, _rank_df(spark, X, np.arange(1, n + 1)),
+                               m=6, ef=4, leaf_size=leaf)
+    idx_l = build_irange_index_local(X, m=6, ef=4, leaf_size=leaf)
+    assert len(idx_s.layer_adj) == len(idx_l.layer_adj)
+    for a, b in zip(idx_s.layer_adj, idx_l.layer_adj):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "ranks", [np.arange(2, 42), np.delete(np.arange(1, 42), 17)],
+    ids=["shifted", "one_missing"],
+)
+def test_spark_build_rejects_ranks_not_dense(spark, ranks):
+    X, _ = make_clustered(len(ranks), 8, seed=24)
+    with pytest.raises(ValueError, match="dense"):
+        build_irange_index(spark, _rank_df(spark, X, ranks), m=4, ef=10,
+                           leaf_size=16)
 
 
 def test_spark_build_searches_well(spark, vec_df):
@@ -57,6 +88,34 @@ def test_subset_graphs_spark_equals_driver(spark):
         np.testing.assert_array_equal(
             via_spark[gid].ranks, via_driver[gid].ranks
         )
+        np.testing.assert_array_equal(
+            via_spark[gid].graph.adj, via_driver[gid].graph.adj
+        )
+        assert via_spark[gid].graph.entry == via_driver[gid].graph.entry
+
+
+def test_subset_graphs_spark_one_stage_few_tasks(spark):
+    """Subsets of unequal sizes (SuperPostfiltering windows) build in one
+    stage of at most defaultParallelism tasks, and every graph comes
+    back under its gid."""
+    X, _ = make_clustered(192, 8, seed=25)
+    subsets = {gid: np.arange(lo, hi + 1)[::-1]
+               for gid, (lo, hi) in enumerate(window_layout(192, 16))}
+    sc = spark.sparkContext
+    sc.setJobGroup("subset-graphs-test", "subset graphs")
+    try:
+        via_spark = build_subset_graphs(spark, X, subsets, m=6, ef=30)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    st = sc.statusTracker()
+    tasks = [st.getStageInfo(s).numTasks
+             for job in st.getJobIdsForGroup("subset-graphs-test")
+             for s in st.getJobInfo(job).stageIds]
+    assert len(tasks) == 1 and tasks[0] <= sc.defaultParallelism
+    via_driver = build_subset_graphs(None, X, subsets, m=6, ef=30)
+    assert via_spark.keys() == via_driver.keys()
+    for gid, ranks in subsets.items():
+        np.testing.assert_array_equal(via_spark[gid].ranks, np.sort(ranks))
         np.testing.assert_array_equal(
             via_spark[gid].graph.adj, via_driver[gid].graph.adj
         )
