@@ -10,8 +10,9 @@ which a beam over n <= 10^4 nodes does not need.
 
 With ``labels`` the same loop builds Filtered-DiskANN's FilteredVamana
 (Gollapudi et al., WWW 2023): each label's first inserted node is its
-entry point, and an insertion's candidate search visits only nodes that
-share the new node's label, so every edge stays inside one label.
+entry point and starts every insertion's candidate search. An edge only
+joins a node to candidates found from its label's entry point, so every
+edge, and hence every search, stays inside one label.
 
 The builder can record the full *edge history* (birth/death insertion
 step of every directed edge). With insertion in attribute-rank order this
@@ -87,9 +88,9 @@ def build_hnsw(
     ``order`` fixes the insertion order (SeRF needs rank order); by
     default a seeded random permutation is used, which is what hnswlib
     effectively sees on attribute-sorted data fed in shuffled order.
-    ``labels`` (one int per node) confines each insertion's candidate
-    search to the node's label, entered from the label's first inserted
-    node; ``entry`` is still the first inserted node overall.
+    ``labels`` (one int per node) enters each insertion's candidate
+    search at its label's first inserted node, which confines it to the
+    label; ``entry`` is still the first inserted node overall.
     """
     n = len(vectors)
     vectors = np.ascontiguousarray(vectors, dtype=np.float32)
@@ -112,10 +113,8 @@ def build_hnsw(
         if b not in entries:
             entries[b] = u
             continue
-        visit = None if labels is None else (lambda v: labels[v] == b)
         ids, dists = beam_search(
-            vectors[u], vectors, neighbors, [entries[b]],
-            beam=ef_construction, visit_filter=visit,
+            vectors[u], vectors, neighbors, [entries[b]], beam=ef_construction
         )
         # Candidates = the ef best scored nodes.
         keep = np.argsort(dists, kind="stable")[:ef_construction]

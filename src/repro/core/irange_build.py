@@ -1,13 +1,22 @@
 """Materializing the elemental graphs (paper Section 3.2), bottom-up.
 
-One builder, two executors. The builder walks the tree layers deepest
-first and carries one ``(n, m)`` int32 ``child`` adjacency: the graph of
-the next-deeper layer, in which every row that layer built is
-overwritten and nodes whose leaf sits higher keep their deepest row. A
-layer is a list of tasks ``(seg_lo, seg_hi, row_lo, row_hi)``: a leaf
-segment is one task (exact approximate-RNG over its points), a parent
-segment is split into row chunks, because once its children's graphs
-exist every node of it builds independently:
+One builder, two executors. A segment's elemental graph needs only its
+two children's graphs, so a segment's whole subtree is independent work.
+The builder picks the *split layer*, the shallowest layer with at least
+``P`` segments (or the deepest layer if none has that many), and builds
+in two kinds of task:
+
+- a **subtree task** ``(layer, seg_lo, seg_hi)``, one per segment of the
+  split layer and one per leaf above it, builds that segment's whole
+  subtree bottom-up and returns one ``(depth, rows, m)`` int32 block,
+  one slab per layer;
+- above the split, each layer is a list of **row chunks** ``(seg_lo,
+  seg_hi, row_lo, row_hi)`` of its parent segments, ``ceil(P / parent
+  segments)`` per segment, each reading the next-deeper layer's
+  adjacency and returning a ``(rows, m)`` int32 block.
+
+A leaf is exact approximate-RNG over its points. A parent row ``u`` needs
+only its children's graphs:
 
 - **case 1** (candidates from the child containing ``u``): copy ``u``'s
   edges in the child elemental graph — anything else in that child is
@@ -15,28 +24,30 @@ exist every node of it builds independently:
 - **case 2** (candidates from the other child): beam-search the other
   child's elemental graph for ``EF`` approximate nearest neighbors;
 
-then RNG-prune the union to at most ``m`` out-edges. A task returns its
-rows as a packed ``(rows, m)`` int32 block of 0-based ids.
+then RNG-prune the union to at most ``m`` out-edges.
 
-* :func:`build_irange_index_local` maps the tasks in a driver loop, one
-  task per segment; perfbench's ``mixed`` and ``multiattr`` workloads,
-  Table 3's driver-local column and the tests time this build.
-* :func:`build_irange_index` runs each layer as one Spark job: a
-  ``mapInPandas`` over a DataFrame of the layer's tasks, with the vectors
-  and the ``child`` array in the function's closure, so no row is joined
-  or shuffled. Parent segments are split so that a layer has at least
-  ``defaultParallelism`` tasks; each task's block comes back as bytes.
+* :func:`build_irange_index_local` is the builder at ``P = 1``: the split
+  layer is the root, so it runs the root's subtree task on the driver.
+  perfbench's ``mixed`` and ``multiattr`` workloads, Table 3's
+  driver-local column and the tests time this build.
+* :func:`build_irange_index` runs ``P = defaultParallelism``: one Spark
+  job for all subtree tasks, then one per layer above the split (root
+  last), each a ``mapInPandas`` over a DataFrame of the tasks, with the
+  vectors and the next-deeper adjacency in the function's closure, so no
+  row is joined or shuffled; each task's block comes back as bytes.
 
 Both executors run the same deterministic kernels on the same rows, so
 they produce identical indexes — unit tests assert this.
 """
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.core.beam_search import beam_search
 from repro.core.irange_graph import IRangeGraphIndex
-from repro.core.neighbors import empty_adjacency, pack_neighbors
+from repro.core.neighbors import NO_EDGE, empty_adjacency, pack_neighbors
 from repro.core.rng_prune import brute_force_rng, rng_prune
 from repro.core.segment_tree import Segment, SegmentTree
 
@@ -103,57 +114,110 @@ def build_parent_segment(
 
 
 # ------------------------------------------------------------------ builder
+def _split_layer(tree: SegmentTree, parallelism: int) -> int:
+    """The shallowest layer with at least ``parallelism`` segments, or the
+    deepest layer if none has that many."""
+    return next((layer for layer in range(tree.num_layers)
+                 if len(tree.segments_at(layer)) >= parallelism),
+                tree.num_layers - 1)
+
+
+def _subtree_tasks(tree: SegmentTree, split: int) -> list[tuple[int, int, int]]:
+    """The subtree tasks ``(layer, seg_lo, seg_hi)``: every segment of the
+    split layer and every leaf above it."""
+    return [(s.layer, s.lo, s.hi) for layer in range(split + 1)
+            for s in tree.segments_at(layer)
+            if layer == split or tree.is_leaf(s)]
+
+
 def _layer_tasks(tree: SegmentTree, layer: int,
                  parallelism: int) -> list[tuple[int, int, int, int]]:
-    """The layer's tasks ``(seg_lo, seg_hi, row_lo, row_hi)``, rows local
-    and half-open: one per leaf segment, and each parent segment split
-    into ``ceil(parallelism / segments)`` contiguous row chunks."""
-    segs = tree.segments_at(layer)
-    chunks = -(-parallelism // len(segs))
+    """The tasks ``(seg_lo, seg_hi, row_lo, row_hi)`` of a layer above the
+    split, rows local and half-open: each parent segment split into
+    ``ceil(parallelism / parent segments)`` contiguous row chunks (its
+    leaves are subtree tasks)."""
+    parents = [s for s in tree.segments_at(layer) if not tree.is_leaf(s)]
+    chunks = -(-parallelism // len(parents))
     tasks = []
-    for s in segs:
-        k = 1 if tree.is_leaf(s) else min(chunks, len(s))
+    for s in parents:
+        k = min(chunks, len(s))
         bounds = [len(s) * j // k for j in range(k + 1)]
         tasks += [(s.lo, s.hi, a, b) for a, b in zip(bounds, bounds[1:])]
     return tasks
 
 
-def _build_task(task, layer: int, vectors: np.ndarray, child: np.ndarray,
-                leaf_size: int, m: int, ef: int) -> np.ndarray:
-    """One task's rows as a packed ``(row_hi - row_lo, m)`` int32 block.
+def _build_rows(seg: Segment, rows: range, vectors: np.ndarray,
+                below: np.ndarray | None, leaf_size: int, m: int,
+                ef: int) -> np.ndarray:
+    """Local ``rows`` of ``seg`` as a packed ``(len(rows), m)`` int32 block.
 
-    Leaf tasks cover their whole segment; a parent task reads its whole
-    segment's rows of ``child`` (the 0-based adjacency one layer down).
+    A leaf is built whole; a parent reads ``below``, its own rows of the
+    next-deeper layer's adjacency (0-based ids), where its two children
+    cover every row.
     """
-    seg_lo, seg_hi, row_lo, row_hi = (int(x) for x in task)
-    ranks = np.arange(seg_lo, seg_hi + 1, dtype=np.int64)
-    vecs = vectors[seg_lo - 1:seg_hi]
-    if seg_hi - seg_lo + 1 <= leaf_size:
+    ranks = np.arange(seg.lo, seg.hi + 1, dtype=np.int64)
+    vecs = vectors[seg.lo - 1:seg.hi]
+    if len(seg) <= leaf_size:
         nbrs = build_leaf_segment(ranks, vecs, m)
     else:
         # Rows are packed from the left, so each row's edges are a prefix.
-        adj = child[seg_lo - 1:seg_hi].astype(np.int64) + 1
+        adj = below.astype(np.int64) + 1
         child_nbrs = [row[:k] for row, k in
                       zip(adj, (adj > 0).sum(axis=1).tolist())]
-        nbrs = build_parent_segment(Segment(layer, seg_lo, seg_hi), ranks,
-                                    vecs, child_nbrs, m, ef,
-                                    rows=range(row_lo, row_hi))
+        nbrs = build_parent_segment(seg, ranks, vecs, child_nbrs, m, ef,
+                                    rows=rows)
     return pack_neighbors([nb - 1 for nb in nbrs], m)
 
 
-def _build(vectors: np.ndarray, tree: SegmentTree, m: int, parallelism: int,
-           run_layer) -> IRangeGraphIndex:
-    """Bottom-up over the layers; ``run_layer(layer, tasks, child)``
-    returns one block per task, in task order."""
+def _build_subtree(layer: int, seg_lo: int, seg_hi: int, *, tree: SegmentTree,
+                   vectors: np.ndarray, m: int, ef: int) -> np.ndarray:
+    """One segment's whole subtree, bottom-up, as a ``(depth, seg_hi -
+    seg_lo + 1, m)`` int32 block: one slab per layer from ``layer`` down,
+    in which the rows of nodes whose leaf sits higher are padding."""
+    levels = [lv for lv in ([s for s in tree.segments_at(lay)
+                             if seg_lo <= s.lo and s.hi <= seg_hi]
+                            for lay in range(layer, tree.num_layers)) if lv]
+    block = np.full((len(levels), seg_hi - seg_lo + 1, m), NO_EDGE,
+                    dtype=np.int32)
+    for depth in range(len(levels) - 1, -1, -1):
+        for s in levels[depth]:
+            rows = slice(s.lo - seg_lo, s.hi - seg_lo + 1)
+            below = block[depth + 1, rows] if depth + 1 < len(levels) else None
+            block[depth, rows] = _build_rows(s, range(len(s)), vectors, below,
+                                             tree.leaf_size, m, ef)
+    return block
+
+
+def _build_chunk(seg_lo: int, seg_hi: int, row_lo: int, row_hi: int, *,
+                 layer: int, below: np.ndarray, vectors: np.ndarray,
+                 leaf_size: int, m: int, ef: int) -> np.ndarray:
+    """One row chunk of a parent segment; ``below`` is the next-deeper
+    layer's ``(n, m)`` adjacency."""
+    return _build_rows(Segment(layer, seg_lo, seg_hi), range(row_lo, row_hi),
+                       vectors, below[seg_lo - 1:seg_hi], leaf_size, m, ef)
+
+
+def _build(vectors: np.ndarray, tree: SegmentTree, m: int, ef: int,
+           parallelism: int, run) -> IRangeGraphIndex:
+    """Subtree tasks first, then the layers above the split, root last.
+
+    ``run(fn, tasks)`` returns ``[fn(*task) for task in tasks]``, in task
+    order, as int32 arrays of any shape.
+    """
     n = len(vectors)
-    child = empty_adjacency(n, m)
     layer_adj = [empty_adjacency(n, m) for _ in range(tree.num_layers)]
-    for layer in range(tree.num_layers - 1, -1, -1):
+    split = _split_layer(tree, parallelism)
+    tasks = _subtree_tasks(tree, split)
+    fn = partial(_build_subtree, tree=tree, vectors=vectors, m=m, ef=ef)
+    for (layer, lo, hi), block in zip(tasks, run(fn, tasks)):
+        for depth, slab in enumerate(block.reshape(-1, hi - lo + 1, m)):
+            layer_adj[layer + depth][lo - 1:hi] = slab
+    for layer in range(split - 1, -1, -1):
         tasks = _layer_tasks(tree, layer, parallelism)
-        blocks = run_layer(layer, tasks, child)
-        for (seg_lo, _, row_lo, row_hi), block in zip(tasks, blocks):
-            rows = slice(seg_lo - 1 + row_lo, seg_lo - 1 + row_hi)
-            layer_adj[layer][rows] = child[rows] = block
+        fn = partial(_build_chunk, layer=layer, below=layer_adj[layer + 1],
+                     vectors=vectors, leaf_size=tree.leaf_size, m=m, ef=ef)
+        for (lo, _, a, b), block in zip(tasks, run(fn, tasks)):
+            layer_adj[layer][lo - 1 + a:lo - 1 + b] = block.reshape(-1, m)
     return IRangeGraphIndex(vectors=vectors, tree=tree, layer_adj=layer_adj, m=m)
 
 
@@ -165,15 +229,11 @@ def build_irange_index_local(
     ef: int = DEFAULT_EF,
     leaf_size: int = DEFAULT_LEAF,
 ) -> IRangeGraphIndex:
-    """Driver-only bottom-up build: the layer's tasks in a plain loop."""
+    """Driver-only bottom-up build: one subtree task, the root's."""
     vectors = np.ascontiguousarray(vectors, dtype=np.float32)
     tree = SegmentTree(len(vectors), leaf_size)
-
-    def run_layer(layer, tasks, child):
-        return [_build_task(t, layer, vectors, child, leaf_size, m, ef)
-                for t in tasks]
-
-    return _build(vectors, tree, m, 1, run_layer)
+    return _build(vectors, tree, m, ef, 1,
+                  lambda fn, tasks: [fn(*t) for t in tasks])
 
 
 # ------------------------------------------------------------- spark build
@@ -188,34 +248,35 @@ def build_irange_index(
     """Distributed bottom-up build.
 
     ``vectors_df`` has columns ``rank`` (1-based long, dense 1..n) and
-    ``vector`` (array<float>). One Spark job per tree layer: each task
-    row builds its rows inside ``mapInPandas``.
+    ``vector`` (array<float>). One Spark job builds every subtree of the
+    split layer (the shallowest with ``defaultParallelism`` segments), and
+    one job per layer above it builds that layer's row chunks, each task
+    inside ``mapInPandas``.
     """
-    pdf_all = vectors_df.select("rank", "vector").orderBy("rank").toPandas()
-    n = len(pdf_all)
-    if not np.array_equal(pdf_all["rank"].to_numpy(), np.arange(1, n + 1)):
+    pdf = vectors_df.select("rank", "vector").toPandas()
+    ranks = pdf["rank"].to_numpy()
+    order = np.argsort(ranks, kind="stable")
+    if not np.array_equal(ranks[order], np.arange(1, len(ranks) + 1)):
         raise ValueError("rank column must be dense 1..n")
     vectors = np.ascontiguousarray(
-        np.stack(pdf_all["vector"].to_numpy()), dtype=np.float32
+        np.stack(pdf["vector"].to_numpy()[order]), dtype=np.float32
     )
-    tree = SegmentTree(n, leaf_size)
+    tree = SegmentTree(len(vectors), leaf_size)
 
-    def run_layer(layer, tasks, child):
+    def run(fn, tasks):
         def build(frames):
             for pdf in frames:
                 yield pdf[["task"]].assign(block=[
-                    _build_task(t[1:], layer, vectors, child, leaf_size, m,
-                                ef).tobytes()
-                    for t in pdf.itertuples(index=False)
+                    fn(*args.tolist()).tobytes() for args in pdf["args"]
                 ])
 
         task_df = spark.createDataFrame(
-            [(i, *t) for i, t in enumerate(tasks)],
-            "task long, seg_lo long, seg_hi long, row_lo long, row_hi long",
+            [(i, list(t)) for i, t in enumerate(tasks)],
+            "task long, args array<long>",
         )
         out = task_df.mapInPandas(build, "task long, block binary").toPandas()
-        return [np.frombuffer(b, dtype=np.int32).reshape(-1, m)
+        return [np.frombuffer(b, dtype=np.int32)
                 for b in out.sort_values("task")["block"]]
 
-    return _build(vectors, tree, m, spark.sparkContext.defaultParallelism,
-                  run_layer)
+    return _build(vectors, tree, m, ef, spark.sparkContext.defaultParallelism,
+                  run)

@@ -86,7 +86,9 @@ def build_suite(
     """Build every Figure-2 method's index, timing each build.
 
     ``time_local_irange`` additionally times a driver-only iRangeGraph
-    build (identical output; no per-layer Spark job latency) so the
+    build (identical output; no Spark job latency: the Spark build runs
+    one job for the subtrees of the shallowest layer with
+    ``defaultParallelism`` segments and one per layer above it) so the
     Theorem-3.1 build-cost ratio is not inflated by scheduler overhead.
     """
     cfg = cfg or default_config(ds.n)

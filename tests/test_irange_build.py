@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.core.irange_build import (_layer_tasks, build_irange_index_local,
+from repro.core.irange_build import (_build, _layer_tasks, _split_layer,
+                                     _subtree_tasks, build_irange_index_local,
                                      build_leaf_segment,
                                      build_parent_segment)
 from repro.core.rng_prune import brute_force_rng
@@ -70,27 +71,61 @@ def test_parent_segment_built_in_row_chunks_equals_whole():
         np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("parallelism", [1, 2, 3, 4])
+@pytest.mark.parametrize("parallelism", [1, 2, 3, 4, 8, 16])
 @pytest.mark.parametrize("n, leaf", [(134, 16), (256, 32), (20, 32), (7, 2)])
 def test_layer_tasks_cover_each_segment_once(n, leaf, parallelism):
-    """Every layer's tasks cover its segments' rows exactly once, stay
-    inside one segment, leave leaves whole and split each parent segment
-    into ceil(P / segments) chunks (lengths like 134 do not divide by 3
-    or 4)."""
+    """Subtree tasks plus the layer tasks above the split build every
+    segment exactly once: a subtree task builds every segment inside it,
+    a layer task one row chunk of a parent segment, chunks cover their
+    segment's rows exactly once and number ceil(P / parent segments)
+    (lengths like 134 do not divide by 3 or 4). n=134 with leaf 16 has
+    leaves on layers 3 and 4, and at P=16 no layer has P segments, so the
+    split is layer 4 and the layer-3 leaves are subtree tasks above it;
+    n <= leaf is a single leaf."""
     tree = SegmentTree(n, leaf)
-    for layer in range(tree.num_layers):
-        segs = tree.segments_at(layer)
+    split = _split_layer(tree, parallelism)
+    assert all(len(tree.segments_at(layer)) < parallelism
+               for layer in range(split))
+    assert (len(tree.segments_at(split)) >= parallelism
+            or split == tree.num_layers - 1)
+    built = {(s.layer, s.lo, s.hi): [] for lay in tree.layers for s in lay}
+    subtrees = _subtree_tasks(tree, split)
+    for layer, lo, hi in subtrees:
+        assert layer == split or tree.is_leaf(Segment(layer, lo, hi))
+        for s in (s for lay in tree.layers[layer:] for s in lay
+                  if lo <= s.lo and s.hi <= hi):
+            built[(s.layer, s.lo, s.hi)].append((0, len(s)))
+    for layer in range(split):
+        parents = [s for s in tree.segments_at(layer) if not tree.is_leaf(s)]
+        chunks = -(-parallelism // len(parents))
         tasks = _layer_tasks(tree, layer, parallelism)
-        by_seg = {(s.lo, s.hi): [] for s in segs}
         for seg_lo, seg_hi, row_lo, row_hi in tasks:
             assert 0 <= row_lo < row_hi <= seg_hi - seg_lo + 1
-            by_seg[(seg_lo, seg_hi)].append((row_lo, row_hi))
-        chunks = -(-parallelism // len(segs))
-        for s in segs:
-            rows = by_seg[(s.lo, s.hi)]
-            covered = sorted(r for a, b in rows for r in range(a, b))
-            assert covered == list(range(len(s)))
-            assert len(rows) == (1 if tree.is_leaf(s) else min(chunks, len(s)))
+            built[(layer, seg_lo, seg_hi)].append((row_lo, row_hi))
+        for s in parents:
+            rows = built[(layer, s.lo, s.hi)]
+            assert len(rows) == min(chunks, len(s))
+    for (layer, lo, hi), rows in built.items():
+        covered = sorted(r for a, b in rows for r in range(a, b))
+        assert covered == list(range(hi - lo + 1)), (layer, lo, hi)
+        if tree.is_leaf(Segment(layer, lo, hi)) or layer >= split:
+            assert rows == [(0, hi - lo + 1)]
+
+
+@pytest.mark.parametrize("parallelism", [2, 3, 4, 8, 16])
+@pytest.mark.parametrize("n, leaf, ef", [(134, 16, 4), (256, 32, 30)])
+def test_builder_at_any_parallelism_equals_driver_build(n, leaf, ef,
+                                                        parallelism):
+    """The builder driven by a local executor at P > 1 (subtree tasks
+    below the split, row chunks above it) gives the P = 1 adjacency."""
+    X, _ = make_clustered(n, 16, seed=8)
+    want = build_irange_index_local(X, m=6, ef=ef, leaf_size=leaf)
+    got = _build(np.ascontiguousarray(X, dtype=np.float32),
+                 SegmentTree(n, leaf), 6, ef, parallelism,
+                 lambda fn, tasks: [fn(*t) for t in tasks])
+    assert len(got.layer_adj) == len(want.layer_adj)
+    for a, b in zip(got.layer_adj, want.layer_adj):
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.fixture(scope="module")

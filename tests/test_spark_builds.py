@@ -32,15 +32,19 @@ def test_spark_build_equals_local(spark, vec_df):
 
 
 def _rank_df(spark, X, ranks):
-    pdf = pd.DataFrame({"rank": ranks, "vector": [v.tolist() for v in X]})
+    """``(rank, vector)`` rows in a shuffled order, which the build must
+    put back in rank order."""
+    order = np.random.default_rng(0).permutation(len(ranks))
+    pdf = pd.DataFrame({"rank": ranks[order],
+                        "vector": [X[i].tolist() for i in order]})
     return spark.createDataFrame(pdf, "rank long, vector array<float>")
 
 
 @pytest.mark.parametrize("n, leaf", [(134, 16), (20, 32)])
 def test_spark_build_equals_local_uneven_and_single_leaf(spark, n, leaf):
-    """n=134, leaf 16 puts leaves on two layers, so parent rows read
-    ``child`` rows carried up from two layers down; n <= leaf is one
-    leaf. A beam of 4 keeps the case-2 searches far from exhaustive."""
+    """n=134, leaf 16 puts leaves on two layers, so subtree tasks differ
+    in depth and their blocks pad the rows of higher leaves; n <= leaf is
+    one leaf. A beam of 4 keeps the case-2 searches far from exhaustive."""
     X, _ = make_clustered(n, 16, seed=8)
     idx_s = build_irange_index(spark, _rank_df(spark, X, np.arange(1, n + 1)),
                                m=6, ef=4, leaf_size=leaf)
@@ -131,3 +135,37 @@ def test_subset_graph_search_global_ranks(spark):
     # Range restriction (post-filter semantics).
     res2 = graphs[0].search(Q[0], beam=40, k=5, rank_range=(50, 60))
     assert np.all((res2 >= 50) & (res2 <= 60))
+
+
+def _jobs(sc, group, fn):
+    """Run ``fn`` in job group ``group``; return its result and job count."""
+    sc.setJobGroup(group, group)
+    try:
+        out = fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    return out, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def test_spark_build_one_job_for_subtrees_then_one_per_layer(spark):
+    """The layers at and below the split layer (the shallowest with
+    defaultParallelism segments) build as one job of subtree tasks, so
+    the build runs 1 + split jobs after loading the vectors. The tree has
+    a layer below the split, whatever defaultParallelism is."""
+    sc = spark.sparkContext
+    width = 1 << (sc.defaultParallelism - 1).bit_length()  # >= P, power of 2
+    leaf = 4
+    n = 2 * width * leaf
+    split = width.bit_length() - 1
+    X, _ = make_clustered(n, 8, seed=26)
+    df = _rank_df(spark, X, np.arange(1, n + 1))
+    _, load = _jobs(sc, "irange-load-test",
+                    lambda: df.select("rank", "vector").toPandas())
+    idx, jobs = _jobs(sc, "irange-build-test", lambda: build_irange_index(
+        spark, df, m=4, ef=8, leaf_size=leaf))
+    assert idx.tree.num_layers == split + 2
+    assert len(idx.tree.segments_at(split)) >= sc.defaultParallelism
+    assert jobs == load + 1 + split
+    want = build_irange_index_local(X, m=4, ef=8, leaf_size=leaf)
+    for a, b in zip(idx.layer_adj, want.layer_adj):
+        np.testing.assert_array_equal(a, b)
