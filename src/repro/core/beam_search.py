@@ -18,6 +18,11 @@ Variation points, used by the different strategies:
   without constraint; only reported results are filtered).
 
 Every scored node costs one distance computation on ``counter``.
+
+:func:`beam_search_many` is the same search for a batch of queries over
+one static padded adjacency, advanced in lockstep as one array program
+(the index build's case-2 searches). It returns exactly the ids
+:func:`beam_search` followed by a stable distance sort returns.
 """
 from __future__ import annotations
 
@@ -26,7 +31,14 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.core.neighbors import DistanceCounter
+from repro.core.neighbors import NO_EDGE, DistanceCounter
+
+# Queries searched together by beam_search_many. Its state is dense, two
+# (rows, graph size) arrays, and its first steps score up to rows x m
+# pairs at once, so blocks bound the memory. At the index build's n=512
+# 128 rows built as fast as 256 with a 1 MiB lower peak.
+_BLOCK = 128
+_UNSET = np.iinfo(np.int64).max  # the key of a node not scored
 
 
 def beam_search(
@@ -92,6 +104,139 @@ def beam_search(
                 if len(best) > beam:
                     heapq.heappop(best)
     return np.asarray(scored_ids, dtype=np.int64), np.asarray(scored_dists)
+
+
+def beam_search_many(
+    queries: np.ndarray,
+    vectors: np.ndarray,
+    adj: np.ndarray,
+    entry: int,
+    *,
+    beam: int,
+) -> np.ndarray:
+    """:func:`beam_search` of every query over the padded adjacency
+    ``adj`` (rows of distinct ids), entered at ``entry``, in lockstep.
+
+    Returns a ``(len(queries), beam)`` array: row ``i`` holds what
+    ``beam_search`` of ``queries[i]`` yields after a stable sort by
+    distance, its ``beam`` nearest scored ids by (distance, scoring
+    order), padded with ``NO_EDGE`` when fewer were scored. ``queries``
+    and ``vectors`` are float32, and their distances finite.
+    """
+    c, m = adj.shape
+    if m > 256:
+        raise ValueError("adjacency rows wider than 256")
+    # Padding, and the node a stopped query "expands", read row c: no
+    # edges, and a column every query has seen.
+    adj = np.vstack([np.where(adj < 0, c, adj), np.full(m, c)])
+    out = np.full((len(queries), beam), NO_EDGE, dtype=np.int64)
+    for lo in range(0, len(queries), _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        _lockstep(queries[blk], vectors, adj, entry, beam, out[blk])
+    return out
+
+
+def _sq_norms(diff: np.ndarray) -> np.ndarray:
+    """Row-wise squared norms with the float bits of ``np.dot(d, d)``
+    per row (``einsum`` and ``(d * d).sum(1)`` round differently)."""
+    return np.matmul(diff[:, None, :], diff[:, :, None]).ravel()
+
+
+def _lockstep(queries, vectors, adj, entry, beam, out) -> None:
+    """One block of :func:`beam_search_many`, written into ``out``.
+
+    ``adj`` has the sentinel row ``c = len(adj) - 1``. Per query:
+    ``open_d`` holds the distance of each admitted node not yet expanded
+    (inf elsewhere), so its row argmin is the heap's next ``(dist, id)``;
+    ``key`` orders every scored node by (distance, scoring order), as the
+    stable sort of the heap kernel's output does, and marks the unscored
+    ``_UNSET``; ``best_d`` holds the ``beam`` smallest distances scored,
+    sorted and padded with the largest float32, its last the admission
+    threshold. Each step expands every searching query's next node,
+    scores the new neighbours of all of them at once and merges them in.
+    """
+    c, m = len(adj) - 1, adj.shape[1]
+    at = np.arange(len(queries))
+    d0 = _sq_norms(vectors[entry] - queries)
+    open_d = np.full((len(queries), c + 1), np.inf, dtype=np.float32)
+    open_d[:, entry] = d0
+    # (distance bits << 32) | scoring order: non-negative float32 bits
+    # sort as the floats do. The entry is scored first, with order 0; the
+    # sentinel column counts as scored and is never returned.
+    key = np.full(open_d.shape, _UNSET)
+    key[:, entry] = d0.view(np.int32).astype(np.int64) << 32
+    key[:, c] = 0
+    best_d = np.full((len(queries), beam), np.finfo(np.float32).max,
+                     dtype=np.float32)
+    best_d[:, 0] = d0
+    later = np.tri(m, k=-1, dtype=bool)  # [k, j]: j before k in a row
+    rows = at  # the state's rows, as block rows
+    step = 0
+    while True:
+        u = open_d.argmin(axis=1)
+        # The heap stops when nothing is open (inf) or its next node is
+        # farther than the beam-th best (float32 max until beam scored).
+        go = open_d[at, u] <= best_d[:, -1]
+        n_go = np.count_nonzero(go)
+        if 4 * n_go <= 3 * len(go):
+            # A stopped query's state no longer changes: emit and drop the
+            # stopped once they are a quarter of the state's rows (one
+            # array at a time, to bound the peak memory).
+            out[rows[~go]] = _top(key[~go, :c], beam)
+            if not n_go:
+                return
+            rows, queries, u, at = rows[go], queries[go], u[go], at[:n_go]
+            open_d = open_d[go]
+            key = key[go]
+            best_d = best_d[go]
+        elif n_go < len(go):
+            u[~go] = c
+        step += 1
+        open_d[at, u] = np.inf
+        nb = adj[u]
+        # The new (query, neighbour) pairs, each query's in row order.
+        pr, pc = np.nonzero(key[at[:, None], nb] == _UNSET)
+        ids = nb[pr, pc]
+        diff = vectors[ids]
+        diff -= queries[pr]
+        d = _sq_norms(diff)
+        key[pr, ids] = (d.view(np.int32).astype(np.int64) << 32) | (step * m + pc)
+        # A pair is admitted iff fewer than ``beam`` earlier scorings (the
+        # best so far and its query's earlier new pairs) are <= it, i.e.
+        # iff it is below the (beam - e)-th best, e the earlier pairs <= it.
+        step_d = np.full(nb.shape, np.inf, dtype=np.float32)
+        step_d[pr, pc] = d
+        earlier = (step_d[pr] <= d[:, None]) & later[pc]
+        # einsum sums the mask's bytes far faster than .sum(axis=1) does;
+        # a uint8 holds the at most m - 1 earlier pairs.
+        ahead = np.einsum("ij->i", earlier.view(np.uint8)).astype(np.int64)
+        bar = best_d[pr, np.maximum(beam - 1 - ahead, 0)]
+        ok = (ahead < beam) & (d < bar)
+        pr, d = pr[ok], d[ok]
+        if not len(pr):
+            continue
+        open_d[pr, ids[ok]] = d
+        # Merge this step's scorings into the sorted best of the queries
+        # that admitted any (the others' cannot change it).
+        sub = np.flatnonzero(np.bincount(pr, minlength=len(rows)))
+        merged = np.concatenate([best_d[sub], step_d[sub]], axis=1)
+        best_d[sub] = np.sort(merged, axis=1)[:, :beam]
+
+
+def _top(key: np.ndarray, beam: int) -> np.ndarray:
+    """Per row, the columns of the ``beam`` smallest keys in key order,
+    ``NO_EDGE`` where fewer are set."""
+    if key.shape[1] > beam:
+        cols = np.argpartition(key, beam - 1, axis=1)[:, :beam]
+        key = np.take_along_axis(key, cols, axis=1)
+    else:
+        cols = np.broadcast_to(np.arange(key.shape[1]), key.shape)
+    order = np.argsort(key, axis=1)
+    ids = np.where(np.take_along_axis(key, order, axis=1) < _UNSET,
+                   np.take_along_axis(cols, order, axis=1), NO_EDGE)
+    top = np.full((len(key), beam), NO_EDGE, dtype=np.int64)
+    top[:, :ids.shape[1]] = ids
+    return top
 
 
 def top_k(

@@ -24,7 +24,12 @@ only its children's graphs:
 - **case 2** (candidates from the other child): beam-search the other
   child's elemental graph for ``EF`` approximate nearest neighbors;
 
-then RNG-prune the union to at most ``m`` out-edges.
+then RNG-prune the union to at most ``m`` out-edges. The case-2 searches
+of one child's rows are independent and read one static graph, so each
+side of a segment runs them as one lockstep array program,
+:func:`~repro.core.beam_search.beam_search_many`, over the other child's
+padded adjacency in its own 0-based ids; it returns exactly what the
+single-query ``beam_search`` returns per row.
 
 * :func:`build_irange_index_local` is the builder at ``P = 1``: the split
   layer is the root, so it runs the root's subtree task on the driver.
@@ -45,7 +50,8 @@ from functools import partial
 
 import numpy as np
 
-from repro.core.beam_search import beam_search
+# perfbench's tracer patches ``irange_build.beam_search`` by name.
+from repro.core.beam_search import beam_search, beam_search_many  # noqa: F401
 from repro.core.irange_graph import IRangeGraphIndex
 from repro.core.neighbors import NO_EDGE, empty_adjacency, pack_neighbors
 from repro.core.rng_prune import brute_force_rng, rng_prune
@@ -68,48 +74,40 @@ def build_leaf_segment(ranks: np.ndarray, vecs: np.ndarray, m: int) -> list[np.n
 
 def build_parent_segment(
     seg: Segment,
-    ranks: np.ndarray,
     vecs: np.ndarray,
-    child_nbrs: list[np.ndarray],
+    below: np.ndarray,
     m: int,
     ef: int,
     rows: range | None = None,
 ) -> list[np.ndarray]:
     """Build one parent segment's elemental graph from its two children.
 
-    ``ranks`` must be sorted ascending; ``child_nbrs[i]`` is row ``i``'s
-    adjacency (global ranks) in its child's elemental graph. Returns the
-    out-neighbors (global ranks) of the local ``rows`` (default: all).
+    ``vecs`` and ``below`` hold the segment's rows: vectors and the
+    next-deeper layer's adjacency (0-based global ids, ``NO_EDGE``
+    padded), in which each child's edges stay inside that child. Returns
+    the out-neighbors (global ranks) of the local ``rows`` (default: all).
     """
-    mid = (seg.lo + seg.hi) // 2
-    is_left = ranks <= mid
-    rank_to_local = {r: i for i, r in enumerate(ranks.tolist())}
-    # The child graphs in local row numbers, built once for the segment
-    # (a child's edges stay inside the child, so every rank maps).
-    local_nbrs = [
-        np.asarray([rank_to_local[r] for r in nb.tolist()], dtype=np.int64)
-        for nb in child_nbrs
-    ]
-    left, right = np.nonzero(is_left)[0], np.nonzero(~is_left)[0]
-
+    rows = range(len(seg)) if rows is None else rows
+    half = (seg.lo + seg.hi) // 2 - seg.lo + 1  # rows of the left child
+    local = below.astype(np.int64) - (seg.lo - 1)  # segment-local ids
     out: list[np.ndarray] = []
-    for i in range(len(ranks)) if rows is None else rows:
-        other = right if is_left[i] else left
-        # case 1: u's edges in its own child graph survive as candidates.
-        cand = child_nbrs[i].tolist()
-        # case 2: approximate NNs of u searched in the other child graph,
-        # entered at its mid-rank node.
-        if len(other) > 0:
-            ids, dists = beam_search(
-                vecs[i], vecs, local_nbrs.__getitem__,
-                [int(other[len(other) // 2])], beam=ef,
-            )
-            best = ids[np.argsort(dists, kind="stable")[:ef]]
-            cand.extend(ranks[best].tolist())
-        cand_local = [rank_to_local[c] for c in cand]
-        kept = rng_prune(vecs[i], np.asarray(cand, dtype=np.int64),
-                         vecs[cand_local], m)
-        out.append(kept)
+    for queries, lo, hi in (
+        (range(rows.start, min(rows.stop, half)), half, len(seg)),
+        (range(max(rows.start, half), rows.stop), 0, half),
+    ):
+        if not queries:
+            continue
+        # case 2: approximate NNs of each row searched in the other child
+        # graph [lo, hi), in its own 0-based ids, entered at its mid node.
+        graph = np.where(below[lo:hi] >= 0, local[lo:hi] - lo, NO_EDGE)
+        found = beam_search_many(vecs[queries.start:queries.stop],
+                                 vecs[lo:hi], graph, (hi - lo) // 2, beam=ef)
+        for i, hits in zip(queries, found):
+            # case 1: u's edges in its own child graph survive as
+            # candidates, ahead of the case-2 hits.
+            cand = np.concatenate([local[i][below[i] >= 0],
+                                   hits[hits >= 0] + lo])
+            out.append(rng_prune(vecs[i], cand + seg.lo, vecs[cand], m))
     return out
 
 
@@ -155,17 +153,12 @@ def _build_rows(seg: Segment, rows: range, vectors: np.ndarray,
     next-deeper layer's adjacency (0-based ids), where its two children
     cover every row.
     """
-    ranks = np.arange(seg.lo, seg.hi + 1, dtype=np.int64)
     vecs = vectors[seg.lo - 1:seg.hi]
     if len(seg) <= leaf_size:
-        nbrs = build_leaf_segment(ranks, vecs, m)
+        nbrs = build_leaf_segment(
+            np.arange(seg.lo, seg.hi + 1, dtype=np.int64), vecs, m)
     else:
-        # Rows are packed from the left, so each row's edges are a prefix.
-        adj = below.astype(np.int64) + 1
-        child_nbrs = [row[:k] for row, k in
-                      zip(adj, (adj > 0).sum(axis=1).tolist())]
-        nbrs = build_parent_segment(seg, ranks, vecs, child_nbrs, m, ef,
-                                    rows=rows)
+        nbrs = build_parent_segment(seg, vecs, below, m, ef, rows=rows)
     return pack_neighbors([nb - 1 for nb in nbrs], m)
 
 

@@ -67,7 +67,16 @@ def brute_force_rng(vecs, m, *, alpha=1.0):
     return out
 
 
-def build_parent_segment(seg, ranks, vecs, child_nbrs, m, ef, rows=None):
+def build_parent_segment(seg, vecs, below, m, ef, rows=None):
+    """The builder's signature: ``below`` holds the segment's rows of the
+    next-deeper adjacency (0-based global ids, -1 padded)."""
+    ranks = np.arange(seg.lo, seg.hi + 1, dtype=np.int64)
+    child = [row[row >= 0].astype(np.int64) + 1 for row in below]
+    out = _parent_segment(seg, ranks, vecs, child, m, ef)
+    return out if rows is None else out[rows.start:rows.stop]
+
+
+def _parent_segment(seg, ranks, vecs, child_nbrs, m, ef):
     mid = (seg.lo + seg.hi) // 2
     is_left = ranks <= mid
     rank_to_local = {int(r): i for i, r in enumerate(ranks)}
@@ -94,7 +103,7 @@ def build_parent_segment(seg, ranks, vecs, child_nbrs, m, ef, rows=None):
         cand_arr = np.asarray(cand, dtype=np.int64)
         cand_local = np.asarray([rank_to_local[c] for c in cand_arr])
         out.append(rng_prune(vecs[i], cand_arr, vecs[cand_local], m))
-    return out if rows is None else out[rows.start:rows.stop]
+    return out
 
 
 def irange_layers(vectors, m, ef, leaf_size):
@@ -117,7 +126,7 @@ def irange_layers(vectors, m, ef, leaf_size):
                 nbrs = [ranks[nb] for nb in brute_force_rng(vecs, m)]
             else:
                 child = [prev_nbrs[int(r)] for r in ranks]
-                nbrs = build_parent_segment(seg, ranks, vecs, child, m, ef)
+                nbrs = _parent_segment(seg, ranks, vecs, child, m, ef)
             for r, nb in zip(ranks, nbrs):
                 cur[int(r)] = np.asarray(nb, dtype=np.int64)
                 layer_adj[layer][r - 1, :len(nb)] = cur[int(r)] - 1

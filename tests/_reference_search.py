@@ -1,7 +1,8 @@
 """Plain reference for the iRangeGraph query path.
 
 A straightforward copy of the original Segment-walking Algorithm 1, the
-greedy beam search that casts every neighbour with ``int(v)``, and
+greedy beam search that casts every neighbour with ``int(v)``, that
+search run per query in place of the build's lockstep case-2 kernel, and
 ``IRangeGraphIndex.search`` wired to both. The optimized code in
 ``repro.core`` must return exactly what these return; the segment split
 is inlined so the reference does not lean on any segment-tree helper.
@@ -110,6 +111,20 @@ def beam_search(query, vectors, get_neighbors, entry_points, *, beam,
                 if len(best) > beam:
                     heapq.heappop(best)
     return np.asarray(scored_ids, dtype=np.int64), np.asarray(scored_dists)
+
+
+def beam_search_many(queries, vectors, adj, entry, *, beam,
+                     search=beam_search):
+    """The lockstep case-2 kernel as a single-query ``search`` (default:
+    the beam loop above) per query, then a stable sort by distance,
+    padded with -1 to ``beam`` columns."""
+    out = np.full((len(queries), beam), -1, dtype=np.int64)
+    for i, q in enumerate(queries):
+        ids, dists = search(q, vectors, lambda u: adj[u][adj[u] >= 0],
+                            [entry], beam=beam)
+        top = ids[np.argsort(dists, kind="stable")[:beam]]
+        out[i, :len(top)] = top
+    return out
 
 
 class ReferenceIndex:

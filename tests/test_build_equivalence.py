@@ -4,7 +4,8 @@
 the per-pair brute-force leaf builder and the parent-segment builder
 that maps child rows to local ids on every expansion. Their output is
 compared against ``repro.core`` directly, through the iRangeGraph build
-(whose original dict-merging layer loop the reference keeps too),
+(whose original dict-merging layer loop the reference keeps too, and
+whose case-2 searches run the single-query beam search per node),
 through HNSW-lite (with its edge history) and through FilteredVamana,
 whose original loop the reference keeps as well.
 """
@@ -119,6 +120,34 @@ def test_uneven_irange_build_matches_reference(monkeypatch):
     assert len(leaf_layers) == 2
     got = build_irange_index_local(X, m=6, ef=4, leaf_size=16)
     want = _reference_irange_build(monkeypatch, X, m=6, ef=4, leaf_size=16)
+    _assert_same_layers(got.layer_adj, want.layer_adj)
+
+
+def test_duplicates_across_children_build_matches_reference(monkeypatch):
+    """n=200, leaf 25, built from 23 distinct vectors repeated in rank
+    order: every segment's two children hold copies of each other's rows
+    (and of their own). Case-2 searches then meet exact distance ties,
+    and with EF=6 the ties fall at the admission threshold and decide
+    the expansion order."""
+    X, _ = make_clustered(200, 16, seed=11)
+    X = X[np.arange(200) % 23]
+    assert SegmentTree(200, 25).num_layers == 4
+    got = build_irange_index_local(X, m=6, ef=6, leaf_size=25)
+    want = _reference_irange_build(monkeypatch, X, m=6, ef=6, leaf_size=25)
+    _assert_same_layers(got.layer_adj, want.layer_adj)
+
+
+def test_build_runs_no_per_node_search(monkeypatch):
+    """The case-2 searches run only in the lockstep kernel: a build whose
+    single-query search raises still succeeds, with the same layers."""
+    X, _ = make_clustered(134, 16, seed=8)
+    want = build_irange_index_local(X, m=6, ef=4, leaf_size=16)
+
+    def per_node(*args, **kwargs):
+        raise AssertionError("per-node case-2 search")
+
+    monkeypatch.setattr(irange_build, "beam_search", per_node)
+    got = build_irange_index_local(X, m=6, ef=4, leaf_size=16)
     _assert_same_layers(got.layer_adj, want.layer_adj)
 
 

@@ -6,6 +6,7 @@ from repro.core.irange_build import (_build, _layer_tasks, _split_layer,
                                      _subtree_tasks, build_irange_index_local,
                                      build_leaf_segment,
                                      build_parent_segment)
+from repro.core.neighbors import pack_neighbors
 from repro.core.rng_prune import brute_force_rng
 from repro.core.segment_tree import Segment, SegmentTree
 from tests.conftest import make_clustered
@@ -20,14 +21,21 @@ def test_leaf_segment_equals_brute_force_rng():
         np.testing.assert_array_equal(g, ranks[r])
 
 
-def test_parent_segment_edges_stay_in_segment():
-    X, _ = make_clustered(64, 8, seed=3)
-    seg = Segment(0, 1, 64)
+def _children_below(X):
+    """The two 32-row leaf graphs of segment [1, 64] as its next-deeper
+    adjacency rows (0-based global ids)."""
     ranks = np.arange(1, 65, dtype=np.int64)
     child = build_leaf_segment(ranks[:32], X[:32], 4) + build_leaf_segment(
         ranks[32:], X[32:], 4
     )
-    nbrs = build_parent_segment(seg, ranks, X, child, m=4, ef=30)
+    return pack_neighbors([nb - 1 for nb in child], 4)
+
+
+def test_parent_segment_edges_stay_in_segment():
+    X, _ = make_clustered(64, 8, seed=3)
+    seg = Segment(0, 1, 64)
+    below = _children_below(X)
+    nbrs = build_parent_segment(seg, X, below, m=4, ef=30)
     for u, nb in enumerate(nbrs):
         assert 1 <= len(nb) <= 4
         assert all(1 <= v <= 64 for v in nb)
@@ -40,11 +48,8 @@ def test_parent_reaches_across_children():
     disconnected halves."""
     X, _ = make_clustered(64, 8, seed=4)
     seg = Segment(0, 1, 64)
-    ranks = np.arange(1, 65, dtype=np.int64)
-    child = build_leaf_segment(ranks[:32], X[:32], 4) + build_leaf_segment(
-        ranks[32:], X[32:], 4
-    )
-    nbrs = build_parent_segment(seg, ranks, X, child, m=4, ef=30)
+    below = _children_below(X)
+    nbrs = build_parent_segment(seg, X, below, m=4, ef=30)
     crossing = sum(
         1
         for u, nb in enumerate(nbrs)
@@ -56,14 +61,11 @@ def test_parent_reaches_across_children():
 def test_parent_segment_built_in_row_chunks_equals_whole():
     X, _ = make_clustered(64, 8, seed=4)
     seg = Segment(0, 1, 64)
-    ranks = np.arange(1, 65, dtype=np.int64)
-    child = build_leaf_segment(ranks[:32], X[:32], 4) + build_leaf_segment(
-        ranks[32:], X[32:], 4
-    )
-    whole = build_parent_segment(seg, ranks, X, child, m=4, ef=8)
+    below = _children_below(X)
+    whole = build_parent_segment(seg, X, below, m=4, ef=8)
     split = [
         nb for rows in (range(0, 27), range(27, 64))
-        for nb in build_parent_segment(seg, ranks, X, child, m=4, ef=8,
+        for nb in build_parent_segment(seg, X, below, m=4, ef=8,
                                        rows=rows)
     ]
     assert len(split) == len(whole) == 64

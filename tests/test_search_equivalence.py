@@ -4,7 +4,7 @@
 Algorithm 1 and the per-neighbour ``int(v)`` beam loop. Edge selection,
 returned ids and distance counts of the optimized code are compared
 against it, and so is the adjacency of a build that runs the reference
-beam loop.
+beam loop per query in place of the lockstep case-2 kernel.
 """
 import numpy as np
 import pytest
@@ -148,7 +148,8 @@ def test_single_leaf_ranges_are_duplicate_free(deep_index):
 def test_build_matches_reference_beam_loop(small_data, irange_index,
                                            monkeypatch):
     X, _ = small_data
-    monkeypatch.setattr(irange_build, "beam_search", ref.beam_search)
+    monkeypatch.setattr(irange_build, "beam_search_many",
+                        ref.beam_search_many)
     want = build_irange_index_local(X, m=8, ef=50, leaf_size=32)
     assert len(irange_index.layer_adj) == len(want.layer_adj)
     for got_adj, want_adj in zip(irange_index.layer_adj, want.layer_adj):
