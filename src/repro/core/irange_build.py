@@ -37,9 +37,9 @@ single-query ``beam_search`` returns per row.
   driver-local column and the tests time this build.
 * :func:`build_irange_index` runs ``P = defaultParallelism``: one Spark
   job for all subtree tasks, then one per layer above the split (root
-  last), each a ``mapInPandas`` over a DataFrame of the tasks, with the
+  last), each run by :func:`~repro.core.tasks.run_tasks` with the
   vectors and the next-deeper adjacency in the function's closure, so no
-  row is joined or shuffled; each task's block comes back as bytes.
+  row is joined or shuffled.
 
 Both executors run the same deterministic kernels on the same rows, so
 they produce identical indexes — unit tests assert this.
@@ -56,6 +56,7 @@ from repro.core.irange_graph import IRangeGraphIndex
 from repro.core.neighbors import NO_EDGE, empty_adjacency, pack_neighbors
 from repro.core.rng_prune import brute_force_rng, rng_prune
 from repro.core.segment_tree import Segment, SegmentTree
+from repro.core.tasks import run_tasks
 
 DEFAULT_M = 16
 DEFAULT_EF = 100
@@ -194,22 +195,24 @@ def _build(vectors: np.ndarray, tree: SegmentTree, m: int, ef: int,
            parallelism: int, run) -> IRangeGraphIndex:
     """Subtree tasks first, then the layers above the split, root last.
 
-    ``run(fn, tasks)`` returns ``[fn(*task) for task in tasks]``, in task
-    order, as int32 arrays of any shape.
+    ``run(fn, tasks, sizes)`` is :func:`~repro.core.tasks.run_tasks` with
+    its executor bound; a task's size is its number of rows.
     """
     n = len(vectors)
     layer_adj = [empty_adjacency(n, m) for _ in range(tree.num_layers)]
     split = _split_layer(tree, parallelism)
     tasks = _subtree_tasks(tree, split)
     fn = partial(_build_subtree, tree=tree, vectors=vectors, m=m, ef=ef)
-    for (layer, lo, hi), block in zip(tasks, run(fn, tasks)):
+    sizes = [hi - lo + 1 for _, lo, hi in tasks]
+    for (layer, lo, hi), block in zip(tasks, run(fn, tasks, sizes)):
         for depth, slab in enumerate(block.reshape(-1, hi - lo + 1, m)):
             layer_adj[layer + depth][lo - 1:hi] = slab
     for layer in range(split - 1, -1, -1):
         tasks = _layer_tasks(tree, layer, parallelism)
         fn = partial(_build_chunk, layer=layer, below=layer_adj[layer + 1],
                      vectors=vectors, leaf_size=tree.leaf_size, m=m, ef=ef)
-        for (lo, _, a, b), block in zip(tasks, run(fn, tasks)):
+        sizes = [b - a for _, _, a, b in tasks]
+        for (lo, _, a, b), block in zip(tasks, run(fn, tasks, sizes)):
             layer_adj[layer][lo - 1 + a:lo - 1 + b] = block.reshape(-1, m)
     return IRangeGraphIndex(vectors=vectors, tree=tree, layer_adj=layer_adj, m=m)
 
@@ -225,8 +228,7 @@ def build_irange_index_local(
     """Driver-only bottom-up build: one subtree task, the root's."""
     vectors = np.ascontiguousarray(vectors, dtype=np.float32)
     tree = SegmentTree(len(vectors), leaf_size)
-    return _build(vectors, tree, m, ef, 1,
-                  lambda fn, tasks: [fn(*t) for t in tasks])
+    return _build(vectors, tree, m, ef, 1, partial(run_tasks, None))
 
 
 # ------------------------------------------------------------- spark build
@@ -243,8 +245,7 @@ def build_irange_index(
     ``vectors_df`` has columns ``rank`` (1-based long, dense 1..n) and
     ``vector`` (array<float>). One Spark job builds every subtree of the
     split layer (the shallowest with ``defaultParallelism`` segments), and
-    one job per layer above it builds that layer's row chunks, each task
-    inside ``mapInPandas``.
+    one job per layer above it builds that layer's row chunks.
     """
     pdf = vectors_df.select("rank", "vector").toPandas()
     ranks = pdf["rank"].to_numpy()
@@ -255,21 +256,5 @@ def build_irange_index(
         np.stack(pdf["vector"].to_numpy()[order]), dtype=np.float32
     )
     tree = SegmentTree(len(vectors), leaf_size)
-
-    def run(fn, tasks):
-        def build(frames):
-            for pdf in frames:
-                yield pdf[["task"]].assign(block=[
-                    fn(*args.tolist()).tobytes() for args in pdf["args"]
-                ])
-
-        task_df = spark.createDataFrame(
-            [(i, list(t)) for i, t in enumerate(tasks)],
-            "task long, args array<long>",
-        )
-        out = task_df.mapInPandas(build, "task long, block binary").toPandas()
-        return [np.frombuffer(b, dtype=np.int32)
-                for b in out.sort_values("task")["block"]]
-
     return _build(vectors, tree, m, ef, spark.sparkContext.defaultParallelism,
-                  run)
+                  partial(run_tasks, spark))

@@ -4,19 +4,20 @@ The exact top-k in-range neighbors per query, computed two ways:
 
 * :func:`exact_rfann_np` — numpy brute force over a rank slice (the
   per-query kernel, also used inside tests);
-* :func:`ground_truth_spark` — the same answers as a Spark dataflow:
-  queries as a DataFrame, ``mapInPandas`` over query batches scoring the
-  (closure-captured) vector matrix. This is the pipeline benchmarks use;
-  a test cross-checks it against a DuckDB SQL formulation via the
-  test-only oracle ``tests/_duckdb_oracle.py``.
+* :func:`ground_truth_spark` — the same answers as one Spark job: each
+  query is a task of :func:`~repro.core.tasks.run_tasks`, with the
+  vector matrix and the query vectors in the function's closure. This is
+  the pipeline benchmarks use; a test cross-checks the in-range argmin
+  against a DuckDB SQL formulation via the test-only oracle
+  ``tests/_duckdb_oracle.py``.
 
 Ids everywhere are 1-based attribute-1 ranks.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
+from repro.core.tasks import run_tasks
 from repro.eval.workloads import RangeQuery
 
 
@@ -49,20 +50,6 @@ def exact_rfann_np(
     return ranks[order], dist[order]
 
 
-def queries_to_pdf(queries: list[RangeQuery], qvecs: np.ndarray) -> pd.DataFrame:
-    """Materialize a workload as a pandas frame (one row per query)."""
-    return pd.DataFrame(
-        {
-            "qid": [q.qid for q in queries],
-            "lo": [q.lo for q in queries],
-            "hi": [q.hi for q in queries],
-            "lo2": [q.lo2 if q.lo2 is not None else -1 for q in queries],
-            "hi2": [q.hi2 if q.hi2 is not None else -1 for q in queries],
-            "qvec": [qvecs[q.qid % len(qvecs)].tolist() for q in queries],
-        }
-    )
-
-
 def ground_truth_spark(
     spark,
     vectors: np.ndarray,
@@ -74,34 +61,21 @@ def ground_truth_spark(
 ) -> dict[int, np.ndarray]:
     """Distributed exact ground truth: qid -> top-k ranks.
 
-    One ``mapInPandas`` pass; the vector matrix rides into executors via
-    closure capture (a few MB at reproduction scale).
+    One task per query ``(qid, lo, hi, lo2, hi2)``, sized by its range
+    length; the vector matrix and the query vectors ride in the closure
+    (a few MB at reproduction scale).
     """
     vec = np.ascontiguousarray(vectors, dtype=np.float32)
+    qvecs = np.asarray(qvecs, dtype=np.float32)
     a2 = None if attr2_rank is None else np.asarray(attr2_rank)
 
-    def batch(frames):
-        for pdf in frames:
-            rows = []
-            for _, row in pdf.iterrows():
-                qv = np.asarray(row["qvec"], dtype=np.float32)
-                r2 = (
-                    (int(row["lo2"]), int(row["hi2"]))
-                    if int(row["lo2"]) >= 0
-                    else None
-                )
-                ranks, _ = exact_rfann_np(
-                    vec, qv, int(row["lo"]), int(row["hi"]), k,
-                    attr2_rank=a2, range2=r2,
-                )
-                rows.append(
-                    {"qid": int(row["qid"]), "gt": ranks.astype(np.int64).tolist()}
-                )
-            yield pd.DataFrame(rows, columns=["qid", "gt"])
+    def one(qid: int, lo: int, hi: int, lo2: int | None,
+            hi2: int | None) -> np.ndarray:
+        r2 = None if lo2 is None else (lo2, hi2)
+        return exact_rfann_np(vec, qvecs[qid % len(qvecs)], lo, hi, k,
+                              attr2_rank=a2, range2=r2)[0]
 
-    qdf = spark.createDataFrame(queries_to_pdf(queries, qvecs))
-    out = qdf.mapInPandas(batch, schema="qid long, gt array<long>").toPandas()
-    return {
-        int(r.qid): np.asarray(r.gt, dtype=np.int64)
-        for r in out.itertuples()
-    }
+    tasks = [(q.qid, q.lo, q.hi, q.lo2, q.hi2) for q in queries]
+    sizes = [max(q.hi - q.lo + 1, 0) for q in queries]
+    gt = run_tasks(spark, one, tasks, sizes)
+    return {q.qid: r.astype(np.int64) for q, r in zip(queries, gt)}

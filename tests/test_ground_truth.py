@@ -3,8 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.eval.ground_truth import (exact_rfann_np, ground_truth_spark,
-                                     queries_to_pdf)
+from repro.eval.ground_truth import exact_rfann_np, ground_truth_spark
 from repro.eval.workloads import RangeQuery, mixed_workload
 from tests._duckdb_oracle import assert_equivalent
 
@@ -62,6 +61,25 @@ def test_ground_truth_spark_multiattr(spark, small_data):
         np.testing.assert_array_equal(gt[q.qid], ref)
 
 
+def test_ground_truth_spark_edge_ranges(spark, small_data):
+    """Ranges ``mixed_workload`` never draws: inverted, clamped to empty,
+    shorter than k, and an attribute-2 range that matches nothing. Each
+    empty or short result lands under its own qid."""
+    X, Q = small_data
+    n = len(X)
+    a2 = np.random.default_rng(2).permutation(n) + 1
+    wl = [RangeQuery(0, 50, 40), RangeQuery(1, n + 2, n + 5),
+          RangeQuery(2, 100, 102), RangeQuery(3, 1, n, n + 1, n + 9),
+          RangeQuery(4, 10, 200, 1, 128)]
+    gt = ground_truth_spark(spark, X, wl, Q, k=5, attr2_rank=a2)
+    assert [len(gt[q.qid]) for q in wl] == [0, 0, 3, 0, 5]
+    for q in wl:
+        r2 = None if q.lo2 is None else (q.lo2, q.hi2)
+        ref, _ = exact_rfann_np(X, Q[q.qid], q.lo, q.hi, 5, attr2_rank=a2,
+                                range2=r2)
+        np.testing.assert_array_equal(gt[q.qid], ref)
+
+
 def test_rfann_answer_matches_duckdb_argmin(spark, small_data):
     """Full relational cross-check: materialize the (query, object,
     distance) table, let DuckDB pick the in-range argmin per query, and
@@ -101,15 +119,6 @@ def test_rfann_answer_matches_duckdb_argmin(spark, small_data):
         ranks, _ = exact_rfann_np(X, Q[q.qid], q.lo, q.hi, 1)
         row = got.where(F.col("qid") == q.qid).collect()[0]
         assert int(row.nn_rank) == int(ranks[0])
-
-
-def test_queries_to_pdf_encoding(small_data):
-    _, Q = small_data
-    wl = [RangeQuery(0, 1, 10), RangeQuery(1, 5, 9, 2, 8)]
-    pdf = queries_to_pdf(wl, Q)
-    assert pdf.loc[0, "lo2"] == -1  # single-attribute sentinel
-    assert pdf.loc[1, "lo2"] == 2 and pdf.loc[1, "hi2"] == 8
-    assert len(pdf.loc[0, "qvec"]) == Q.shape[1]
 
 
 def test_oracle_catches_wrong_result(spark, small_data):

@@ -1,4 +1,6 @@
 """Tests for materializing the elemental graphs (paper Section 3.2)."""
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.irange_build import (_build, _layer_tasks, _split_layer,
 from repro.core.neighbors import pack_neighbors
 from repro.core.rng_prune import brute_force_rng
 from repro.core.segment_tree import Segment, SegmentTree
+from repro.core.tasks import run_tasks
 from tests.conftest import make_clustered
 
 
@@ -124,7 +127,7 @@ def test_builder_at_any_parallelism_equals_driver_build(n, leaf, ef,
     want = build_irange_index_local(X, m=6, ef=ef, leaf_size=leaf)
     got = _build(np.ascontiguousarray(X, dtype=np.float32),
                  SegmentTree(n, leaf), 6, ef, parallelism,
-                 lambda fn, tasks: [fn(*t) for t in tasks])
+                 partial(run_tasks, None))
     assert len(got.layer_adj) == len(want.layer_adj)
     for a, b in zip(got.layer_adj, want.layer_adj):
         np.testing.assert_array_equal(a, b)

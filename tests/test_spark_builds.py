@@ -87,7 +87,7 @@ def test_subset_graphs_spark_equals_driver(spark):
     }
     via_spark = build_subset_graphs(spark, X, subsets, m=6, ef=30, seed=5)
     via_driver = build_subset_graphs(None, X, subsets, m=6, ef=30, seed=5)
-    assert via_spark.keys() == via_driver.keys()
+    assert list(via_spark) == list(via_driver) == list(subsets)
     for gid in subsets:
         np.testing.assert_array_equal(
             via_spark[gid].ranks, via_driver[gid].ranks
