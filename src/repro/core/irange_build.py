@@ -24,12 +24,16 @@ only its children's graphs:
 - **case 2** (candidates from the other child): beam-search the other
   child's elemental graph for ``EF`` approximate nearest neighbors;
 
-then RNG-prune the union to at most ``m`` out-edges. The case-2 searches
-of one child's rows are independent and read one static graph, so each
-side of a segment runs them as one lockstep array program,
-:func:`~repro.core.beam_search.beam_search_many`, over the other child's
-padded adjacency in its own 0-based ids; it returns exactly what the
-single-query ``beam_search`` returns per row.
+then RNG-prune the union to at most ``m`` out-edges. The rows of one
+child are independent, so each side of a segment runs both steps as
+lockstep array programs that return per row exactly what the
+single-node kernels return:
+
+- :func:`~repro.core.beam_search.beam_search_many` runs the side's
+  case-2 searches over the other child's padded adjacency, in that
+  child's own 0-based ids;
+- :func:`~repro.core.rng_prune.rng_prune_many` prunes the side's rows,
+  each row's case-1 edges ahead of its case-2 hits.
 
 * :func:`build_irange_index_local` is the builder at ``P = 1``: the split
   layer is the root, so it runs the root's subtree task on the driver.
@@ -50,11 +54,12 @@ from functools import partial
 
 import numpy as np
 
-# perfbench's tracer patches ``irange_build.beam_search`` by name.
+# perfbench looks up beam_search, rng_prune and brute_force_rng here by name.
 from repro.core.beam_search import beam_search, beam_search_many  # noqa: F401
 from repro.core.irange_graph import IRangeGraphIndex
 from repro.core.neighbors import NO_EDGE, empty_adjacency, pack_neighbors
-from repro.core.rng_prune import brute_force_rng, rng_prune
+from repro.core.rng_prune import (brute_force_rng, rng_prune,  # noqa: F401
+                                  rng_prune_many)
 from repro.core.segment_tree import Segment, SegmentTree
 from repro.core.tasks import run_tasks
 
@@ -90,7 +95,8 @@ def build_parent_segment(
     """
     rows = range(len(seg)) if rows is None else rows
     half = (seg.lo + seg.hi) // 2 - seg.lo + 1  # rows of the left child
-    local = below.astype(np.int64) - (seg.lo - 1)  # segment-local ids
+    # Segment-local ids, NO_EDGE padded.
+    local = np.where(below >= 0, below.astype(np.int64) - (seg.lo - 1), NO_EDGE)
     out: list[np.ndarray] = []
     for queries, lo, hi in (
         (range(rows.start, min(rows.stop, half)), half, len(seg)),
@@ -100,15 +106,15 @@ def build_parent_segment(
             continue
         # case 2: approximate NNs of each row searched in the other child
         # graph [lo, hi), in its own 0-based ids, entered at its mid node.
-        graph = np.where(below[lo:hi] >= 0, local[lo:hi] - lo, NO_EDGE)
-        found = beam_search_many(vecs[queries.start:queries.stop],
-                                 vecs[lo:hi], graph, (hi - lo) // 2, beam=ef)
-        for i, hits in zip(queries, found):
-            # case 1: u's edges in its own child graph survive as
-            # candidates, ahead of the case-2 hits.
-            cand = np.concatenate([local[i][below[i] >= 0],
-                                   hits[hits >= 0] + lo])
-            out.append(rng_prune(vecs[i], cand + seg.lo, vecs[cand], m))
+        graph = np.where(local[lo:hi] >= 0, local[lo:hi] - lo, NO_EDGE)
+        q = slice(queries.start, queries.stop)
+        found = beam_search_many(vecs[q], vecs[lo:hi], graph, (hi - lo) // 2,
+                                 beam=ef)
+        found[found >= 0] += lo
+        # case 1: u's edges in its own child graph survive as candidates,
+        # ahead of the case-2 hits; a side's rows are pruned as one block.
+        kept = rng_prune_many(vecs[q], np.hstack([local[q], found]), vecs, m)
+        out += [row[row >= 0] + seg.lo for row in kept]
     return out
 
 

@@ -11,8 +11,8 @@ graph — Algorithm 1 selects up to ``m`` edges for a node from its
 intersection with the query range ⇒ edges more robust against RNG
 pruning) and *skipping* any layer whose intersection with the query range
 equals its child's (the ``O(m + log n)`` amortized trick). The greedy
-beam search runs on this lazily-constructed graph, memoizing edge
-selections per query.
+beam search runs on this lazily-constructed graph; it expands each node
+at most once, so each node's edges are selected at most once per query.
 
 Edge selection walks the root-to-leaf path of ``u`` on plain Python ints:
 the current segment is a 0-based ``(lo, hi, layer)`` triple, the child
@@ -34,6 +34,7 @@ Also implemented here, for the Figure-3 ablation:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -133,22 +134,14 @@ class IRangeGraphIndex:
             ids = np.arange(lo - 1, hi, dtype=np.int64)
             dists = dist_batch(query, self.vectors[lo - 1 : hi], counter)
             return top_k(ids, dists, k, keep=result_keep) + 1
-        memo: dict[int, np.ndarray] = {}
-
-        def get_neighbors(u: int) -> np.ndarray:
-            nbrs = memo.get(u)
-            if nbrs is None:
-                nbrs = self.select_edges(u, lo, hi, skip_layers=skip_layers)
-                memo[u] = nbrs
-            return nbrs
-
         # Seed from a few ranks spread over the range: robust against a
         # sparse improvised graph splitting into components.
         entries = np.unique(np.linspace(lo - 1, hi - 1, num=4, dtype=np.int64))
         ids, dists = beam_search(
             query,
             self.vectors,
-            get_neighbors,
+            # A node is pushed once, so its edges are selected once.
+            partial(self.select_edges, lo=lo, hi=hi, skip_layers=skip_layers),
             [int(e) for e in entries],
             beam=beam,
             counter=counter,

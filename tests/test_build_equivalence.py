@@ -65,19 +65,21 @@ def test_rng_prune_empty_and_identical_candidates():
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("alpha", ALPHAS)
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 17, 33, 63, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 33, 63, 64])
 def test_brute_force_rng_matches_reference(n, alpha, dtype):
+    """Leaves of up to 64 points with a duplicate vector, and the same
+    number of equal points, at degree caps below, at and above n."""
     g = np.random.default_rng(n)
     vecs = g.normal(size=(n, 6))
     vecs[n // 2] = vecs[0]  # a duplicate vector
-    vecs = vecs.astype(dtype)
-    for m in (1, 4, n):
-        got = rp.brute_force_rng(vecs, m, alpha=alpha)
-        want = ref.brute_force_rng(vecs, m, alpha=alpha)
-        assert len(got) == len(want) == n
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b)
+    for vecs in (vecs.astype(dtype), np.ones((n, 6), dtype=dtype)):
+        for m in (1, 4, n, n + 1):
+            got = rp.brute_force_rng(vecs, m, alpha=alpha)
+            want = ref.brute_force_rng(vecs, m, alpha=alpha)
+            assert len(got) == len(want) == n
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
 
 
 def _reference_irange_build(monkeypatch, X, **kw):
@@ -149,6 +151,31 @@ def test_build_runs_no_per_node_search(monkeypatch):
     monkeypatch.setattr(irange_build, "beam_search", per_node)
     got = build_irange_index_local(X, m=6, ef=4, leaf_size=16)
     _assert_same_layers(got.layer_adj, want.layer_adj)
+
+
+def test_build_runs_no_per_node_prune(monkeypatch):
+    """The parent rows are pruned only in the lockstep kernel: a build
+    whose single-node prune raises still equals the reference."""
+    X, _ = make_clustered(134, 16, seed=8)
+    want = _reference_irange_build(monkeypatch, X, m=6, ef=4, leaf_size=16)
+
+    def per_node(*args, **kwargs):
+        raise AssertionError("per-node RNG prune")
+
+    monkeypatch.setattr(irange_build, "rng_prune", per_node)
+    got = build_irange_index_local(X, m=6, ef=4, leaf_size=16)
+    _assert_same_layers(got.layer_adj, want.layer_adj)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 7, 16, 17])
+def test_small_builds_match_reference(n):
+    """n at and around the degree cap m = 6 and the leaf size 16: a lone
+    leaf of one or two points, leaves whose nodes have fewer candidates
+    than m, and (n = 17) one parent over two leaves."""
+    X, _ = make_clustered(n, 16, seed=n)
+    got = build_irange_index_local(X, m=6, ef=8, leaf_size=16)
+    _assert_same_layers(got.layer_adj, ref.irange_layers(X, m=6, ef=8,
+                                                         leaf_size=16))
 
 
 def test_hnsw_with_history_matches_reference(monkeypatch):

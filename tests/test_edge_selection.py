@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from repro.core.irange_graph import IRangeGraphIndex
+
 
 @pytest.mark.parametrize("skip", [True, False])
 def test_selected_edges_in_range_and_capped(irange_index, skip):
@@ -86,12 +88,38 @@ def test_single_point_range(irange_index):
     assert len(sel) == 0  # only itself in range; no in-range neighbors
 
 
-def test_memoized_search_matches_unmemoized(irange_index, small_data):
+def test_repeated_search_is_deterministic(irange_index, small_data):
     """Two identical searches return identical results (determinism)."""
     X, Q = small_data
     a = irange_index.search(Q[0], 40, 200, beam=30, k=10)
     b = irange_index.search(Q[0], 40, 200, beam=30, k=10)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("skip", [True, False])
+@pytest.mark.parametrize("filtered", [False, True])
+def test_search_selects_each_nodes_edges_once(irange_index, small_data,
+                                              monkeypatch, skip, filtered):
+    """The search keeps no per-query cache of edge selections: each node
+    is expanded at most once, so it gets Algorithm 1 at most once, also
+    when a visit filter rejects some of its neighbours."""
+    X, Q = small_data
+    calls: list[int] = []
+    select = IRangeGraphIndex.select_edges
+
+    def spy(self, u, *args, **kwargs):
+        calls.append(u)
+        return select(self, u, *args, **kwargs)
+
+    monkeypatch.setattr(IRangeGraphIndex, "select_edges", spy)
+    visit = (lambda v: v % 3 != 1) if filtered else None
+    for qi, (lo, hi), beam in [(0, (1, 256), 40), (1, (40, 200), 30),
+                               (2, (100, 180), 60), (3, (7, 250), 120)]:
+        calls.clear()
+        irange_index.search(Q[qi], lo, hi, beam=beam, k=10,
+                            skip_layers=skip, visit_filter=visit)
+        assert calls  # a graph search, not the slice scan
+        assert len(calls) == len(set(calls))
 
 
 def test_skip_and_noskip_recall_close(irange_index, small_data, gt10):
