@@ -7,11 +7,24 @@ This is the entrypoint whose numbers populate EXPERIMENTS.md:
 
     python jobs/run_all.py --n 4096 --nq 40
 """
+import hashlib
+import subprocess
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _common import arg_parser, dump, get_spark, print_matrix  # noqa: E402
+
+
+def git_commit() -> str | None:
+    """The checkout's ``HEAD`` commit, or None outside a git checkout."""
+    try:
+        return subprocess.run(
+            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+            check=True, cwd=Path(__file__).resolve().parent,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
 
 
 def main() -> None:
@@ -26,7 +39,8 @@ def main() -> None:
 
     names = args.datasets or list(SPECS)
     out = {
-        "config": {"n": args.n, "nq": args.nq, "seed": args.seed},
+        "config": {"n": args.n, "nq": args.nq, "seed": args.seed,
+                   "commit": git_commit(), "vectors_sha256": {}},
         "table1": table1_rows(args.n, args.nq),
         "table2": {}, "table3": {}, "fig2": {}, "fig3": {}, "fig4": {},
         "fig5": {},
@@ -34,6 +48,8 @@ def main() -> None:
     for name in names:
         print(f"\n##### dataset {name} #####", file=sys.stderr)
         ds = load_dataset(spark, name, n=args.n, nq=args.nq, seed=args.seed)
+        out["config"]["vectors_sha256"][name] = hashlib.sha256(
+            ds.vectors.astype("<f4").tobytes()).hexdigest()
         suite = build_suite(spark, ds, time_local_irange=True)
         out["table2"][name] = run_table2(suite)
         out["table3"][name] = run_table3(suite)

@@ -17,25 +17,19 @@ def main() -> None:
     from repro.eval.experiments import build_suite, run_table3
 
     names = args.datasets or list(SPECS)
-    table: dict[str, dict[str, float]] = {}
-    ratios = {}
+    out = {}
     for name in names:
         ds = load_dataset(spark, name, n=args.n, nq=args.nq, seed=args.seed)
-        suite = build_suite(spark, ds, time_local_irange=True)
-        res = run_table3(suite)
-        for method, s in res["seconds"].items():
-            table.setdefault(method, {})[name] = round(s, 2)
-        table.setdefault("HNSW (reference)", {})[name] = round(
-            res["hnsw_reference_seconds"], 2
-        )
-        table.setdefault("iRangeGraph (local)", {})[name] = round(
-            res["irange_local_seconds"], 2
-        )
-        ratios[name] = round(res["irange_local_over_hnsw"], 2)
-    dump("table3_indexing_time", {"seconds": table,
-                                  "irange_over_hnsw": ratios})
-    print_matrix("Table 3: indexing time (s)", table)
-    print("iRangeGraph / HNSW build ratio:", ratios)
+        out[name] = run_table3(build_suite(spark, ds, time_local_irange=True))
+    # The layout run_all.py writes: one run_table3 dict per dataset.
+    dump("table3_indexing_time", out)
+    print_matrix("Table 3: indexing time (s)", {
+        name: {**r["seconds"], "HNSW (reference)": r["hnsw_reference_seconds"],
+               "iRangeGraph (local)": r["irange_local_seconds"]}
+        for name, r in out.items()})
+    print("iRangeGraph (local) / HNSW build ratio:",
+          {name: round(r["irange_local_over_hnsw"], 2)
+           for name, r in out.items()})
     spark.stop()
 
 

@@ -57,7 +57,7 @@ import numpy as np
 # perfbench looks up beam_search, rng_prune and brute_force_rng here by name.
 from repro.core.beam_search import beam_search, beam_search_many  # noqa: F401
 from repro.core.irange_graph import IRangeGraphIndex
-from repro.core.neighbors import NO_EDGE, empty_adjacency, pack_neighbors
+from repro.core.neighbors import NO_EDGE, empty_adjacency
 from repro.core.rng_prune import (brute_force_rng, rng_prune,  # noqa: F401
                                   rng_prune_many)
 from repro.core.segment_tree import Segment, SegmentTree
@@ -69,13 +69,14 @@ DEFAULT_LEAF = 64
 
 
 # ------------------------------------------------------------------ kernels
-def build_leaf_segment(ranks: np.ndarray, vecs: np.ndarray, m: int) -> list[np.ndarray]:
+def build_leaf_segment(ranks: np.ndarray, vecs: np.ndarray, m: int) -> np.ndarray:
     """Exact approximate-RNG over one leaf segment (<= leaf_size points).
 
-    Returns, per row, the out-neighbors as global ranks.
+    Returns the ``(rows, m)`` int32 block of out-neighbors as 0-based
+    global ids, ``NO_EDGE`` padded.
     """
-    nbr_local = brute_force_rng(vecs, m)
-    return [ranks[l] for l in nbr_local]
+    kept = brute_force_rng(vecs, m)
+    return np.where(kept >= 0, ranks[kept] - 1, NO_EDGE).astype(np.int32)
 
 
 def build_parent_segment(
@@ -85,19 +86,20 @@ def build_parent_segment(
     m: int,
     ef: int,
     rows: range | None = None,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Build one parent segment's elemental graph from its two children.
 
     ``vecs`` and ``below`` hold the segment's rows: vectors and the
     next-deeper layer's adjacency (0-based global ids, ``NO_EDGE``
     padded), in which each child's edges stay inside that child. Returns
-    the out-neighbors (global ranks) of the local ``rows`` (default: all).
+    the ``(len(rows), m)`` int32 block of out-neighbors of the local
+    ``rows`` (default: all) as 0-based global ids, ``NO_EDGE`` padded.
     """
     rows = range(len(seg)) if rows is None else rows
     half = (seg.lo + seg.hi) // 2 - seg.lo + 1  # rows of the left child
     # Segment-local ids, NO_EDGE padded.
     local = np.where(below >= 0, below.astype(np.int64) - (seg.lo - 1), NO_EDGE)
-    out: list[np.ndarray] = []
+    out = empty_adjacency(len(rows), m)
     for queries, lo, hi in (
         (range(rows.start, min(rows.stop, half)), half, len(seg)),
         (range(max(rows.start, half), rows.stop), 0, half),
@@ -114,7 +116,8 @@ def build_parent_segment(
         # case 1: u's edges in its own child graph survive as candidates,
         # ahead of the case-2 hits; a side's rows are pruned as one block.
         kept = rng_prune_many(vecs[q], np.hstack([local[q], found]), vecs, m)
-        out += [row[row >= 0] + seg.lo for row in kept]
+        out[q.start - rows.start:q.stop - rows.start] = np.where(
+            kept >= 0, kept + (seg.lo - 1), NO_EDGE)
     return out
 
 
@@ -154,7 +157,7 @@ def _layer_tasks(tree: SegmentTree, layer: int,
 def _build_rows(seg: Segment, rows: range, vectors: np.ndarray,
                 below: np.ndarray | None, leaf_size: int, m: int,
                 ef: int) -> np.ndarray:
-    """Local ``rows`` of ``seg`` as a packed ``(len(rows), m)`` int32 block.
+    """Local ``rows`` of ``seg`` as a ``(len(rows), m)`` int32 block.
 
     A leaf is built whole; a parent reads ``below``, its own rows of the
     next-deeper layer's adjacency (0-based ids), where its two children
@@ -162,11 +165,9 @@ def _build_rows(seg: Segment, rows: range, vectors: np.ndarray,
     """
     vecs = vectors[seg.lo - 1:seg.hi]
     if len(seg) <= leaf_size:
-        nbrs = build_leaf_segment(
+        return build_leaf_segment(
             np.arange(seg.lo, seg.hi + 1, dtype=np.int64), vecs, m)
-    else:
-        nbrs = build_parent_segment(seg, vecs, below, m, ef, rows=rows)
-    return pack_neighbors([nb - 1 for nb in nbrs], m)
+    return build_parent_segment(seg, vecs, below, m, ef, rows=rows)
 
 
 def _build_subtree(layer: int, seg_lo: int, seg_hi: int, *, tree: SegmentTree,

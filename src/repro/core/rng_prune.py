@@ -1,11 +1,10 @@
-"""The RNG pruning rule (paper Definition 2.1) and its DiskANN-style
-``alpha`` generalization.
+"""The RNG pruning rule (paper Definition 2.1).
 
 Given a node ``u`` and a candidate set, candidates are examined in order
 of increasing distance to ``u``; a candidate ``c`` is *pruned* if some
-already-retained candidate ``s`` satisfies ``alpha * d(s, c) < d(u, c)``
-(``alpha = 1`` is exactly the RNG rule: ``s`` is closer to both ``u`` and
-``c`` than they are to each other). At most ``m`` candidates are retained.
+already-retained candidate ``s`` satisfies ``d(s, c) < d(u, c)`` (``s``
+is closer to both ``u`` and ``c`` than they are to each other). At most
+``m`` candidates are retained.
 
 The rule is applied when a candidate is *kept*, not when one is visited:
 keeping ``s`` scores it against every candidate at once and marks those it
@@ -27,7 +26,8 @@ and runs the same walk in lockstep (DiskANN's RobustPrune batched):
 * :func:`brute_force_rng` walks all rows of a leaf's ``pairwise_sq``
   matrix the same way.
 
-Both return per row exactly what the single-node walk returns.
+Both return per row exactly what the single-node walk returns, as one
+``NO_EDGE``-padded ``(rows, m)`` block.
 """
 from __future__ import annotations
 
@@ -49,8 +49,6 @@ def rng_prune(
     cand_ids: np.ndarray,
     cand_vecs: np.ndarray,
     m: int,
-    *,
-    alpha: float = 1.0,
 ) -> np.ndarray:
     """Prune ``cand_ids`` down to at most ``m`` RNG-retained neighbors.
 
@@ -69,7 +67,6 @@ def rng_prune(
 
     diff = cand_vecs - u_vec
     d_u = np.einsum("ij,ij->i", diff, diff)
-    a2 = alpha * alpha
     pruned = np.zeros(len(cand_ids), dtype=bool)
     kept: list[int] = []
     for s in np.argsort(d_u, kind="stable").tolist():
@@ -79,7 +76,7 @@ def rng_prune(
             continue
         kept.append(s)
         dd = cand_vecs - cand_vecs[s]
-        pruned |= a2 * np.einsum("ij,ij->i", dd, dd) < d_u
+        pruned |= np.einsum("ij,ij->i", dd, dd) < d_u
     return cand_ids[kept]
 
 
@@ -155,24 +152,22 @@ def _sq_dists(x, ia, y, ib) -> np.ndarray:
     return out
 
 
-def brute_force_rng(
-    vecs: np.ndarray, m: int, *, alpha: float = 1.0
-) -> list[np.ndarray]:
+def brute_force_rng(vecs: np.ndarray, m: int) -> np.ndarray:
     """Exact approximate-RNG over a small point set (leaf graphs).
 
     For every node, all other nodes are candidates; the RNG rule with a
-    degree cap of ``m`` selects the out-edges. One ``pairwise_sq`` matrix,
-    then every node's walk in distance order at once: each of at most
-    ``m`` steps keeps every live node's next unmasked candidate ``c`` and
-    masks, as in :func:`rng_prune`, what ``c`` prunes, reading row ``c``
-    of the matrix where the per-pair rule read ``d[s, c]`` and row ``u``
-    where it read ``d[u, c]``, in float64 as that rule compared them, so
-    the edges are the same. Only used for segment-tree leaves (<= ~64
-    points) and tests.
+    degree cap of ``m`` selects the out-edges, returned as an ``(n, m)``
+    int64 block of 0-based ids in walk order, ``NO_EDGE`` padded. One
+    ``pairwise_sq`` matrix, then every node's walk in distance order at
+    once: each of at most ``m`` steps keeps every live node's next
+    unmasked candidate ``c`` and masks, as in :func:`rng_prune`, what
+    ``c`` prunes, reading row ``c`` of the matrix where the per-pair rule
+    read ``d[s, c]`` and row ``u`` where it read ``d[u, c]``, in float64
+    as that rule compared them, so the edges are the same. Only used for
+    segment-tree leaves (<= ~64 points) and tests.
     """
     n = len(vecs)
     d = pairwise_sq(vecs).astype(np.float64)
-    a2 = alpha * alpha
     # Row u in u's walk order: order[u, j] is its j-th nearest node.
     order = np.argsort(d, axis=1, kind="stable")
     d_u = np.take_along_axis(d, order, axis=1)
@@ -190,5 +185,5 @@ def brute_force_rng(
         open_[rows, first] = False
         if step == m - 1:
             break
-        open_[rows] &= ~(a2 * d[c[:, None], order[rows]] < d_u[rows])
-    return [row[row >= 0] for row in kept]
+        open_[rows] &= ~(d[c[:, None], order[rows]] < d_u[rows])
+    return kept

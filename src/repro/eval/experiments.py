@@ -1,10 +1,9 @@
 """Experiment drivers behind every table/figure reproduction.
 
 One function per paper artifact (Tables 1–3, Figures 2–5, scalability),
-shared by the ``jobs/`` spark-submit entrypoints and the
-``benchmarks/`` pytest-benchmark suite. Everything returns plain dicts /
-lists so results can be dumped to ``results/*.json`` and rendered into
-EXPERIMENTS.md.
+called by the ``jobs/`` spark-submit entrypoints. Everything returns
+plain dicts / lists so results can be dumped to ``results/*.json``,
+rendered into EXPERIMENTS.md and checked by ``tests/test_claims.py``.
 
 Method registry: the keys below are the method names used in every
 table, matching the paper's Figure-2 lineup.
@@ -286,7 +285,8 @@ def run_fig4(
     spark, suite: BuiltSuite, *, nq: int = 40, n_ranges: int = 10,
     seed: int = 0
 ) -> dict:
-    """Gap to Oracle-HNSW on a shared-range mixed workload."""
+    """Gap to Oracle-HNSW on a shared-range mixed workload, and the
+    oracle's index size (MiB) for the workload's few distinct ranges."""
     ds, cfg = suite.dataset, suite.config
     k, beams = cfg["k"], tuple(cfg["beams"])
     wl = shared_range_workload(ds.n, nq, n_ranges=n_ranges, seed=seed)
@@ -298,6 +298,7 @@ def run_fig4(
     )
     oracle_build_s = time.perf_counter() - t0
     out = {"dataset": ds.name, "oracle_build_seconds": oracle_build_s,
+           "oracle_index_mb": oracle.memory_bytes()["index"] / (1 << 20),
            "methods": {}}
     for name, index in (
         ("iRangeGraph", suite.indexes["iRangeGraph"]),

@@ -7,9 +7,9 @@ The exact top-k in-range neighbors per query, computed two ways:
 * :func:`ground_truth_spark` — the same answers as one Spark job: each
   query is a task of :func:`~repro.core.tasks.run_tasks`, with the
   vector matrix and the query vectors in the function's closure. This is
-  the pipeline benchmarks use; a test cross-checks the in-range argmin
-  against a DuckDB SQL formulation via the test-only oracle
-  ``tests/_duckdb_oracle.py``.
+  the pipeline the experiment drivers use; a test cross-checks the
+  in-range argmin against a DuckDB SQL formulation via the test-only
+  oracle ``tests/_duckdb_oracle.py``.
 
 Ids everywhere are 1-based attribute-1 ranks.
 """

@@ -16,11 +16,14 @@ from repro.baselines.filtered_diskann import FilteredVamanaIndex
 from repro.core import hnsw, irange_build
 from repro.core import rng_prune as rp
 from repro.core.irange_build import build_irange_index_local
+from repro.core.neighbors import NO_EDGE, pack_neighbors
 from repro.core.segment_tree import SegmentTree
 from tests import _reference_build as ref
 from tests.conftest import make_clustered
 
-ALPHAS = [0.9, 1.0, 1.2]
+# Input scales: each comparison also runs on its inputs times 0.9 and 1.2,
+# whose distances have other float bits and other near-ties.
+SCALES = [0.9, 1.0, 1.2]
 DTYPES = [np.float32, np.float64]
 
 
@@ -41,13 +44,14 @@ def _candidates(g, dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("alpha", ALPHAS)
-def test_rng_prune_matches_reference(alpha, dtype):
-    g = np.random.default_rng(int(alpha * 10) + 100 * (dtype is np.float32))
+@pytest.mark.parametrize("scale", SCALES)
+def test_rng_prune_matches_reference(scale, dtype):
+    g = np.random.default_rng(int(scale * 10) + 100 * (dtype is np.float32))
     for _ in range(300):
         u, ids, vecs, m = _candidates(g, dtype)
-        got = rp.rng_prune(u, ids, vecs, m, alpha=alpha)
-        want = ref.rng_prune(u, ids, vecs, m, alpha=alpha)
+        u, vecs = u * dtype(scale), vecs * dtype(scale)
+        got = rp.rng_prune(u, ids, vecs, m)
+        want = ref.rng_prune(u, ids, vecs, m)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
@@ -64,22 +68,35 @@ def test_rng_prune_empty_and_identical_candidates():
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("scale", SCALES)
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 33, 63, 64])
-def test_brute_force_rng_matches_reference(n, alpha, dtype):
+def test_brute_force_rng_matches_reference(n, scale, dtype):
     """Leaves of up to 64 points with a duplicate vector, and the same
-    number of equal points, at degree caps below, at and above n."""
+    number of equal points, at degree caps below, at and above n. Each
+    row of the padded block is the reference's list, then padding."""
     g = np.random.default_rng(n)
-    vecs = g.normal(size=(n, 6))
+    vecs = g.normal(size=(n, 6)) * scale
     vecs[n // 2] = vecs[0]  # a duplicate vector
     for vecs in (vecs.astype(dtype), np.ones((n, 6), dtype=dtype)):
         for m in (1, 4, n, n + 1):
-            got = rp.brute_force_rng(vecs, m, alpha=alpha)
-            want = ref.brute_force_rng(vecs, m, alpha=alpha)
-            assert len(got) == len(want) == n
+            got = rp.brute_force_rng(vecs, m)
+            want = ref.brute_force_rng(vecs, m)
+            assert got.shape == (n, m) and got.dtype == np.int64
             for a, b in zip(got, want):
-                assert a.dtype == b.dtype
-                np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(a[:len(b)], b)
+                assert np.all(a[len(b):] == NO_EDGE)
+
+
+def _ref_leaf_block(vecs, m):
+    """The reference leaf walk as the padded block the builder reads."""
+    return pack_neighbors(ref.brute_force_rng(vecs, m), m)
+
+
+def _ref_parent_block(seg, vecs, below, m, ef, rows=None):
+    """The reference parent rows (global ranks) as the builder's padded
+    block of 0-based ids."""
+    nbrs = ref.build_parent_segment(seg, vecs, below, m, ef, rows)
+    return pack_neighbors([nb - 1 for nb in nbrs], m)
 
 
 def _reference_irange_build(monkeypatch, X, **kw):
@@ -87,9 +104,8 @@ def _reference_irange_build(monkeypatch, X, **kw):
     globals; it must also equal the reference layer loop."""
     with monkeypatch.context() as mp:
         mp.setattr(irange_build, "rng_prune", ref.rng_prune)
-        mp.setattr(irange_build, "brute_force_rng", ref.brute_force_rng)
-        mp.setattr(irange_build, "build_parent_segment",
-                   ref.build_parent_segment)
+        mp.setattr(irange_build, "brute_force_rng", _ref_leaf_block)
+        mp.setattr(irange_build, "build_parent_segment", _ref_parent_block)
         want = build_irange_index_local(X, **kw)
     _assert_same_layers(want.layer_adj, ref.irange_layers(X, **kw))
     return want

@@ -8,30 +8,33 @@ from repro.core.irange_build import (_build, _layer_tasks, _split_layer,
                                      _subtree_tasks, build_irange_index_local,
                                      build_leaf_segment,
                                      build_parent_segment)
-from repro.core.neighbors import pack_neighbors
-from repro.core.rng_prune import brute_force_rng
+from repro.core.neighbors import NO_EDGE
 from repro.core.segment_tree import Segment, SegmentTree
 from repro.core.tasks import run_tasks
+from tests import _reference_build as ref
 from tests.conftest import make_clustered
 
 
 def test_leaf_segment_equals_brute_force_rng():
+    """A padded int32 block of 0-based global ids whose rows are the
+    reference leaf walk's, padding after the edges (m = 40 > 31 edges
+    pads every row)."""
     X, _ = make_clustered(32, 8, seed=2)
     ranks = np.arange(101, 133, dtype=np.int64)
-    got = build_leaf_segment(ranks, X, m=4)
-    ref = brute_force_rng(X, 4)
-    for g, r in zip(got, ref):
-        np.testing.assert_array_equal(g, ranks[r])
+    for m in (4, 40):
+        got = build_leaf_segment(ranks, X, m)
+        assert got.dtype == np.int32 and got.shape == (32, m)
+        for row, want in zip(got, ref.brute_force_rng(X, m)):
+            np.testing.assert_array_equal(row[:len(want)], ranks[want] - 1)
+            assert np.all(row[len(want):] == NO_EDGE)
 
 
 def _children_below(X):
     """The two 32-row leaf graphs of segment [1, 64] as its next-deeper
     adjacency rows (0-based global ids)."""
     ranks = np.arange(1, 65, dtype=np.int64)
-    child = build_leaf_segment(ranks[:32], X[:32], 4) + build_leaf_segment(
-        ranks[32:], X[32:], 4
-    )
-    return pack_neighbors([nb - 1 for nb in child], 4)
+    return np.vstack([build_leaf_segment(ranks[:32], X[:32], 4),
+                      build_leaf_segment(ranks[32:], X[32:], 4)])
 
 
 def test_parent_segment_edges_stay_in_segment():
@@ -39,10 +42,13 @@ def test_parent_segment_edges_stay_in_segment():
     seg = Segment(0, 1, 64)
     below = _children_below(X)
     nbrs = build_parent_segment(seg, X, below, m=4, ef=30)
-    for u, nb in enumerate(nbrs):
+    assert nbrs.dtype == np.int32 and nbrs.shape == (64, 4)
+    for u, row in enumerate(nbrs):
+        nb = row[row >= 0]
         assert 1 <= len(nb) <= 4
-        assert all(1 <= v <= 64 for v in nb)
-        assert (u + 1) not in nb.tolist()
+        assert np.all(row[len(nb):] == NO_EDGE)
+        assert all(0 <= v < 64 for v in nb)
+        assert u not in nb.tolist()
 
 
 def test_parent_reaches_across_children():
@@ -55,8 +61,8 @@ def test_parent_reaches_across_children():
     nbrs = build_parent_segment(seg, X, below, m=4, ef=30)
     crossing = sum(
         1
-        for u, nb in enumerate(nbrs)
-        if any((v > 32) != (u + 1 > 32) for v in nb)
+        for u, row in enumerate(nbrs)
+        if any((v >= 32) != (u >= 32) for v in row[row >= 0])
     )
     assert crossing > 0
 
@@ -66,14 +72,24 @@ def test_parent_segment_built_in_row_chunks_equals_whole():
     seg = Segment(0, 1, 64)
     below = _children_below(X)
     whole = build_parent_segment(seg, X, below, m=4, ef=8)
-    split = [
-        nb for rows in (range(0, 27), range(27, 64))
-        for nb in build_parent_segment(seg, X, below, m=4, ef=8,
-                                       rows=rows)
-    ]
-    assert len(split) == len(whole) == 64
-    for a, b in zip(split, whole):
-        np.testing.assert_array_equal(a, b)
+    split = np.vstack([
+        build_parent_segment(seg, X, below, m=4, ef=8, rows=rows)
+        for rows in (range(0, 27), range(27, 64))
+    ])
+    np.testing.assert_array_equal(split, whole)
+    assert split.dtype == whole.dtype == np.int32
+
+
+def test_parent_segment_matches_reference():
+    """The parent kernel's block holds, row by row, the reference
+    builder's out-neighbors (global ranks) as 0-based ids."""
+    X, _ = make_clustered(64, 8, seed=4)
+    seg = Segment(0, 1, 64)
+    below = _children_below(X)
+    got = build_parent_segment(seg, X, below, m=4, ef=8)
+    for row, want in zip(got, ref.build_parent_segment(seg, X, below, 4, 8)):
+        np.testing.assert_array_equal(row[:len(want)], want - 1)
+        assert np.all(row[len(want):] == NO_EDGE)
 
 
 @pytest.mark.parametrize("parallelism", [1, 2, 3, 4, 8, 16])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
+RESULTS = JOBS.parent / "results"
 
 
 def _load_common():
@@ -75,3 +76,24 @@ def test_table1_job_end_to_end(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     payload = json.loads((tmp_path / "table1_datasets.json").read_text())
     assert payload["materialized"][0]["n"] == 64
+
+
+def test_table3_job_writes_run_all_layout(tmp_path):
+    """The standalone Table-3 job writes ``table3_indexing_time.json`` in
+    the layout run_all.py gives it (and its ``table3`` section): one
+    ``run_table3`` dict per dataset, with the same keys."""
+    proc = subprocess.run(
+        [sys.executable, str(JOBS / "table3_indexing_time.py"), "--n", "64",
+         "--nq", "4", "--datasets", "ytaudio_lite"],
+        capture_output=True, text=True, timeout=420,
+        env={**os.environ, "REPRO_RESULTS_DIR": str(tmp_path)},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = json.loads((tmp_path / "table3_indexing_time.json").read_text())
+    assert list(got) == ["ytaudio_lite"]
+    committed = json.loads((RESULTS / "table3_indexing_time.json").read_text())
+    run_all = json.loads((RESULTS / "run_all.json").read_text())["table3"]
+    assert committed == run_all
+    for per_dataset in committed.values():
+        assert set(got["ytaudio_lite"]) == set(per_dataset)
+        assert set(got["ytaudio_lite"]["seconds"]) == set(per_dataset["seconds"])

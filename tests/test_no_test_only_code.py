@@ -3,8 +3,8 @@ the tests.
 
 A name counts as used when it appears, as a Python name or as a quoted
 attribute name (``getattr``/patch style), somewhere in ``src/``,
-``jobs/``, ``benchmarks/``, ``perfbench/`` or the root ``conftest.py``
-more often than it is defined there. Code that only tests call is dead
+``jobs/``, ``perfbench/`` or the root ``conftest.py`` more often than it
+is defined there. Code that only tests call is dead
 weight for the reproduction; the one kept exception is ``rank_of_attr``,
 the paper's Section 2.2 value-to-rank reduction.
 """
@@ -50,7 +50,7 @@ def _name_counts(paths) -> Counter:
 def test_no_code_only_tests_call():
     src = sorted((ROOT / "src" / "repro").rglob("*.py"))
     defined = Counter(name for p in src for name in _definitions(p))
-    users = [p for d in ("src", "jobs", "benchmarks", "perfbench")
+    users = [p for d in ("src", "jobs", "perfbench")
              for p in (ROOT / d).rglob("*.py")] + [ROOT / "conftest.py"]
     counts = _name_counts(users)
     unused = {name for name, n in defined.items() if counts[name] <= n}
