@@ -36,6 +36,8 @@ def test_run_table2_shape(tiny_suite):
     mb = res["footprint_mb"]
     assert set(mb) == set(METHODS) | {"raw vectors"}
     assert mb["SuperPostfiltering"] > mb["iRangeGraph"] > mb["raw vectors"]
+    for name, index in suite.indexes.items():
+        assert index.memory_bytes()["vectors"] == suite.dataset.vectors.nbytes, name
 
 
 def test_run_table3_shape(tiny_suite):
