@@ -55,9 +55,7 @@ class FlatGraph:
         beam: int,
         k: int,
         counter: DistanceCounter | None = None,
-        visit_filter=None,
         result_keep=None,
-        entries: list[int] | None = None,
     ) -> np.ndarray:
         """Beam search this graph; returns up to ``k`` local ids."""
         adj = self.adj
@@ -65,10 +63,9 @@ class FlatGraph:
             query,
             self.vectors,
             lambda u: adj[u][adj[u] >= 0],
-            entries if entries is not None else [self.entry],
+            [self.entry],
             beam=beam,
             counter=counter,
-            visit_filter=visit_filter,
         )
         return top_k(ids, dists, k, keep=result_keep)
 

@@ -25,7 +25,7 @@ the heaps and change the returned ids.
 
 Also implemented here, for the Figure-3 ablation:
 
-* ``variant="noskip"`` — iRangeGraph−: edge selection without layer
+* ``skip_layers=False`` — iRangeGraph−: edge selection without layer
   skipping (``O(m log n)`` per node).
 * :class:`BasicSearchIndex` — the classical segment-tree answer:
   decompose ``[L, R]`` into canonical segments, run one independent ANN

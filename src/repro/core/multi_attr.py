@@ -7,11 +7,10 @@ attribute-1-in-range objects, and the attribute-2 predicate is handled by
 a search strategy:
 
 * ``mode="post"``  — Post-filtering: traverse freely, filter results.
-* ``mode="in"``    — In-filtering: visit attribute-2-in-range nodes only.
-* ``mode="prob"``  — the paper's generalization (iRangeGraph+): visit an
-  out-of-range neighbor with probability ``p = exp(-t)``, where ``t`` is
-  the number of consecutive out-of-range objects visited on the search
-  path (in-range visits reset ``t``).
+* ``mode="prob"``  — the paper's iRangeGraph+: visit an out-of-range
+  neighbor with probability ``p = exp(-t)``, where ``t`` is the number
+  of consecutive out-of-range objects visited on the search path
+  (in-range visits reset ``t``).
 
 Results always satisfy both predicates.
 """
@@ -54,23 +53,18 @@ class MultiAttrIndex:
         lo2, hi2 = range2
         a2 = self.attr2_rank
 
-        def in2(u: int) -> bool:
-            return lo2 <= a2[u] <= hi2
-
         def keep(ids: np.ndarray) -> np.ndarray:
             r2 = a2[ids]
             return (r2 >= lo2) & (r2 <= hi2)
 
         if mode == "post":
             visit = None
-        elif mode == "in":
-            visit = in2
         elif mode == "prob":
             rng = np.random.default_rng(seed)
             state = {"t": 0}
 
             def visit(u: int) -> bool:
-                if in2(u):
+                if lo2 <= a2[u] <= hi2:
                     state["t"] = 0
                     return True
                 if rng.random() < math.exp(-state["t"]):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from repro.baselines.basic_strategies import PrefilterIndex, WholeGraphIndex
+from repro.baselines.basic_strategies import PrefilterIndex
 from repro.baselines.filtered_diskann import (FilteredVamanaIndex,
                                               StitchedVamanaIndex)
 from repro.baselines.milvus_like import MilvusLikeIndex
@@ -25,7 +25,9 @@ from repro.baselines.multi_attr_baselines import (ConjunctivePostFilter,
 from repro.baselines.oracle_hnsw import OracleHnswIndex
 from repro.baselines.serf_like import SerfLikeIndex
 from repro.baselines.superpostfilter import SuperPostfilterIndex
-from repro.core.irange_build import build_irange_index
+from repro.core.hnsw import build_hnsw
+from repro.core.irange_build import (build_irange_index,
+                                     build_irange_index_local)
 from repro.core.irange_graph import BasicSearchIndex, IRangeGraphIndex
 from repro.core.multi_attr import MultiAttrIndex
 from repro.eval.datasets import RFDataset
@@ -102,29 +104,15 @@ def build_suite(
         times[name] = time.perf_counter() - t0
         return out
 
-    vec_df = None
-    if spark is not None:
-        pdf = pd.DataFrame(
-            {"rank": np.arange(1, ds.n + 1), "vector": [v.tolist() for v in X]}
-        )
-        vec_df = spark.createDataFrame(pdf)
-
-    if vec_df is not None:
-        idx["iRangeGraph"] = timed(
-            "iRangeGraph",
-            lambda: build_irange_index(
-                spark, vec_df, m=m, ef=ef, leaf_size=cfg["leaf_size"]
-            ),
-        )
-    else:
-        from repro.core.irange_build import build_irange_index_local
-
-        idx["iRangeGraph"] = timed(
-            "iRangeGraph",
-            lambda: build_irange_index_local(
-                X, m=m, ef=ef, leaf_size=cfg["leaf_size"]
-            ),
-        )
+    vec_df = spark.createDataFrame(pd.DataFrame(
+        {"rank": np.arange(1, ds.n + 1), "vector": [v.tolist() for v in X]}
+    ))
+    idx["iRangeGraph"] = timed(
+        "iRangeGraph",
+        lambda: build_irange_index(
+            spark, vec_df, m=m, ef=ef, leaf_size=cfg["leaf_size"]
+        ),
+    )
     idx["SuperPostfiltering"] = timed(
         "SuperPostfiltering",
         lambda: SuperPostfilterIndex(
@@ -153,12 +141,10 @@ def build_suite(
     )
     # Reference: a single whole-dataset HNSW (for the <= 3x claim).
     t0 = time.perf_counter()
-    WholeGraphIndex(X, m=m, ef=ef)
+    build_hnsw(X, m=m, ef_construction=ef)
     hnsw_s = time.perf_counter() - t0
     local_s = None
     if time_local_irange:
-        from repro.core.irange_build import build_irange_index_local
-
         t0 = time.perf_counter()
         build_irange_index_local(X, m=m, ef=ef, leaf_size=cfg["leaf_size"])
         local_s = time.perf_counter() - t0

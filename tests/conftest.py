@@ -40,10 +40,11 @@ def irange_index(small_data):
 
 @pytest.fixture(scope="session")
 def whole_graph(small_data):
-    from repro.baselines.basic_strategies import WholeGraphIndex
+    """One HNSW-lite over all of ``small_data`` (Table 3's reference)."""
+    from repro.core.hnsw import build_hnsw
 
     X, _ = small_data
-    return WholeGraphIndex(X, m=8, ef=50, seed=0)
+    return build_hnsw(X, m=8, ef_construction=50, seed=0)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""Tests for the Pre-/Post-/In-filtering strategies (paper Section 2.2)."""
+"""Tests for the Pre-filtering baseline (paper Section 2.2)."""
 import numpy as np
 import pytest
 
@@ -39,71 +39,3 @@ class TestPrefilter:
     def test_memory_is_vectors_only(self, prefilter, small_data):
         mb = prefilter.memory_bytes()
         assert mb["index"] == 0 and mb["vectors"] == small_data[0].nbytes
-
-
-class TestPostfilter:
-    def test_results_in_range(self, whole_graph, small_data):
-        _, Q = small_data
-        res = whole_graph.search(Q[0], 30, 200, beam=40, k=10, mode="post")
-        assert np.all((res >= 30) & (res <= 200))
-
-    def test_recall_on_unselective_range(self, whole_graph, small_data, gt10):
-        _, Q = small_data
-        hits = tot = 0
-        for qi in range(len(Q)):
-            gt = gt10(qi, 1, 256)
-            res = whole_graph.search(Q[qi], 1, 256, beam=80, k=10, mode="post")
-            hits += len(set(res.tolist()) & set(gt.tolist()))
-            tot += len(gt)
-        assert hits / tot >= 0.9
-
-    def test_selective_range_hurts_recall_at_fixed_beam(
-        self, whole_graph, small_data, gt10
-    ):
-        """The paper's Post-filtering pathology: at a fixed beam, a very
-        selective predicate yields fewer in-range hits than an
-        unselective one."""
-        _, Q = small_data
-
-        def recall(lo, hi):
-            hits = tot = 0
-            for qi in range(len(Q)):
-                gt = gt10(qi, lo, hi)
-                res = whole_graph.search(Q[qi], lo, hi, beam=15, k=10,
-                                         mode="post")
-                hits += len(set(res.tolist()) & set(gt.tolist()))
-                tot += len(gt)
-            return hits / tot
-
-        assert recall(1, 256) >= recall(100, 115) - 1e-9
-
-
-class TestInfilter:
-    def test_results_in_range(self, whole_graph, small_data):
-        _, Q = small_data
-        res = whole_graph.search(Q[1], 60, 180, beam=40, k=10, mode="in")
-        assert np.all((res >= 60) & (res <= 180))
-
-    def test_visits_only_in_range(self, whole_graph, small_data):
-        """In-filtering's distance count can never exceed the number of
-        in-range objects."""
-        _, Q = small_data
-        c = DistanceCounter()
-        whole_graph.search(Q[2], 40, 89, beam=300, k=10, mode="in", counter=c)
-        assert c.count <= 50
-
-    def test_recall_on_moderate_range(self, whole_graph, small_data, gt10):
-        _, Q = small_data
-        hits = tot = 0
-        for qi in range(len(Q)):
-            gt = gt10(qi, 20, 230)
-            res = whole_graph.search(Q[qi], 20, 230, beam=80, k=10, mode="in")
-            hits += len(set(res.tolist()) & set(gt.tolist()))
-            tot += len(gt)
-        assert hits / tot >= 0.6  # inherently weak: in-range subgraph may
-        # be disconnected (the paper's motivation for dedicated graphs)
-
-    def test_unknown_mode_raises(self, whole_graph, small_data):
-        with pytest.raises(ValueError):
-            whole_graph.search(small_data[1][0], 1, 10, beam=5, k=3,
-                               mode="bogus")

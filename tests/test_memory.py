@@ -15,6 +15,6 @@ def test_method_accounting_consistency(irange_index, whole_graph):
     """iRangeGraph stores log-many layers; one flat graph stores one —
     index bytes must reflect that ordering (Table 2's shape)."""
     ir = irange_index.memory_bytes()
-    wg = whole_graph.memory_bytes()
-    assert ir["vectors"] == wg["vectors"]
-    assert ir["index"] == irange_index.tree.num_layers * wg["index"]
+    assert ir["vectors"] == whole_graph.vectors.nbytes
+    layers = irange_index.tree.num_layers
+    assert ir["index"] == layers * whole_graph.adj.nbytes

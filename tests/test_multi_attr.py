@@ -27,7 +27,7 @@ def conj_gt(X, q, a2, r1, r2, k=10):
 R1, R2 = (30, 230), (50, 220)
 
 
-@pytest.mark.parametrize("mode", ["post", "in", "prob"])
+@pytest.mark.parametrize("mode", ["post", "prob"])
 def test_results_satisfy_both_predicates(multi, small_data, attr2_rank, mode):
     _, Q = small_data
     for qi in range(6):
@@ -49,16 +49,15 @@ def test_recall_moderate_selectivity(multi, small_data, attr2_rank, mode):
     assert hits / tot >= 0.8, mode
 
 
-def test_prob_visits_between_in_and_post(multi, small_data):
-    """p = exp(-t) interpolates In- and Post-filtering: its distance
-    count must lie between theirs (averaged over queries)."""
+def test_prob_visits_no_more_than_post(multi, small_data):
+    """p = exp(-t) skips some attribute-2-out-of-range neighbours that
+    Post-filtering scores: summed over queries, it scores no more."""
     _, Q = small_data
-    cin, cpost, cprob = (DistanceCounter() for _ in range(3))
+    cpost, cprob = DistanceCounter(), DistanceCounter()
     for qi in range(len(Q)):
-        multi.search(Q[qi], R1, R2, beam=60, k=10, mode="in", counter=cin)
         multi.search(Q[qi], R1, R2, beam=60, k=10, mode="post", counter=cpost)
         multi.search(Q[qi], R1, R2, beam=60, k=10, mode="prob", counter=cprob)
-    assert cin.count <= cprob.count <= cpost.count
+    assert cprob.count <= cpost.count
 
 
 def test_prob_deterministic_given_seed(multi, small_data):

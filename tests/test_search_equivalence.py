@@ -76,7 +76,7 @@ def test_search_matches_reference(irange_index, small_data, skip):
             assert got[1] == want[1]
 
 
-@pytest.mark.parametrize("mode", ["post", "in", "prob"])
+@pytest.mark.parametrize("mode", ["post", "prob"])
 def test_multi_attr_search_matches_reference(irange_index, small_data, mode):
     _, Q = small_data
     n = irange_index.n
