@@ -1,19 +1,108 @@
 """Run the full evaluation: build each dataset's index suite once, then
 produce every table/figure from it (Tables 1-3, Figures 2-5,
-scalability). Writes one consolidated ``results/run_all.json`` plus the
-per-artifact JSON files the individual jobs would write.
+scalability) and write them to one file, ``results/run_all.json`` (or
+``$REPRO_RESULTS_DIR/run_all.json``), plus a printed summary.
 
 This is the entrypoint whose numbers populate EXPERIMENTS.md:
 
     python jobs/run_all.py --n 4096 --nq 40
+
+It obtains a SparkSession the same way ``conftest.py`` does, so it runs
+with plain ``python`` and under ``spark-submit``.
 """
+from __future__ import annotations
+
+import argparse
 import hashlib
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _common import arg_parser, dump, get_spark, print_matrix  # noqa: E402
+# ``REPRO_RESULTS_DIR`` redirects ``dump`` (tests point it at a
+# temporary directory so they never overwrite the committed results).
+RESULTS_DIR = Path(
+    os.environ.get("REPRO_RESULTS_DIR")
+    or Path(__file__).resolve().parent.parent / "results"
+)
+
+
+def get_spark():
+    """SparkSession mirroring conftest.py's settings."""
+    os.environ.setdefault(
+        "PYSPARK_SUBMIT_ARGS",
+        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
+        "--conf spark.driver.host=127.0.0.1 "
+        "--conf spark.ui.enabled=false pyspark-shell",
+    )
+    from pyspark.sql import SparkSession
+
+    spark = (
+        SparkSession.builder.appName("repro-job")
+        .config("spark.sql.shuffle.partitions",
+                os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.ui.showConsoleProgress", "false")
+        .getOrCreate()
+    )
+    spark.sparkContext.setLogLevel("ERROR")
+    return spark
+
+
+def arg_parser(desc: str) -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(description=desc)
+    p.add_argument("--n", type=int, default=4096, help="objects per dataset")
+    p.add_argument("--nq", type=int, default=40, help="queries per workload")
+    p.add_argument(
+        "--datasets", nargs="*", default=None,
+        help="dataset names (default: all five substitutes)",
+    )
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--skip-scalability", action="store_true")
+    return p
+
+
+def dump(name: str, payload) -> Path:
+    RESULTS_DIR.mkdir(exist_ok=True)
+    out = RESULTS_DIR / f"{name}.json"
+    out.write_text(json.dumps(payload, indent=2, default=_jsonable))
+    print(f"[{name}] wrote {out}", file=sys.stderr)
+    return out
+
+
+def _jsonable(x):
+    import numpy as np
+
+    if isinstance(x, (np.integer,)):
+        return int(x)
+    if isinstance(x, (np.floating,)):
+        return float(x)
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    raise TypeError(f"not JSON-serializable: {type(x)}")
+
+
+def print_matrix(title: str, rows: dict[str, dict[str, object]],
+                 fmt: str = "{:.3g}") -> None:
+    """Print a dict-of-dicts as an aligned text table."""
+    cols = sorted({c for r in rows.values() for c in r})
+    print(f"\n== {title} ==")
+    header = "{:24s}".format("") + "".join(f"{c:>16s}" for c in cols)
+    print(header)
+    for rname, r in rows.items():
+        cells = []
+        for c in cols:
+            v = r.get(c)
+            if v is None:
+                cells.append(f"{'—':>16s}")
+            elif isinstance(v, (int, float)):
+                cells.append(f"{fmt.format(v):>16s}")
+            else:
+                cells.append(f"{str(v):>16s}")
+        print(f"{rname:24s}" + "".join(cells))
 
 
 def git_commit() -> str | None:
@@ -28,9 +117,7 @@ def git_commit() -> str | None:
 
 
 def main() -> None:
-    p = arg_parser(__doc__)
-    p.add_argument("--skip-scalability", action="store_true")
-    args = p.parse_args()
+    args = arg_parser(__doc__).parse_args()
     spark = get_spark()
     from repro.eval.datasets import SPECS, load_dataset, table1_rows
     from repro.eval.experiments import (build_suite, run_fig2, run_fig3,
@@ -50,7 +137,7 @@ def main() -> None:
         ds = load_dataset(spark, name, n=args.n, nq=args.nq, seed=args.seed)
         out["config"]["vectors_sha256"][name] = hashlib.sha256(
             ds.vectors.astype("<f4").tobytes()).hexdigest()
-        suite = build_suite(spark, ds, time_local_irange=True)
+        suite = build_suite(spark, ds)
         out["table2"][name] = run_table2(suite)
         out["table3"][name] = run_table3(suite)
         out["fig2"][name] = run_fig2(spark, suite, nq=args.nq,
@@ -67,20 +154,6 @@ def main() -> None:
             spark, "redcaps_lite", [1024, 2048, 4096], nq=args.nq,
             seed=args.seed,
         )
-
-    # Per-artifact files (same layout the standalone jobs write).
-    dump("table2_memory", {
-        m: {d: round(v, 2)
-            for d in out["table2"]
-            for mm, v in out["table2"][d]["footprint_mb"].items() if mm == m}
-        for d0 in out["table2"]
-        for m in out["table2"][d0]["footprint_mb"]
-    })
-    dump("table3_indexing_time", out["table3"])
-    dump("fig2_single_attr", out["fig2"])
-    dump("fig3_ablation", out["fig3"])
-    dump("fig4_oracle", out["fig4"])
-    dump("fig5_multi_attr", out["fig5"])
     dump("run_all", out)
 
     # Console summary: qps@0.9 per dataset on the mixed workload.

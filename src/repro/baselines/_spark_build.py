@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.hnsw import FlatGraph, build_hnsw
-from repro.core.neighbors import DistanceCounter, adjacency_bytes
+from repro.core.neighbors import DistanceCounter
 from repro.core.tasks import run_tasks
 
 
@@ -49,7 +49,7 @@ class SubsetGraph:
         return ranks[local]
 
     def memory_bytes(self) -> int:
-        return adjacency_bytes(self.graph.adj)
+        return int(self.graph.adj.nbytes)
 
 
 def build_subset_graphs(

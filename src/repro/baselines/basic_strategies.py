@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.neighbors import DistanceCounter, dist_batch
+from repro.core.neighbors import DistanceCounter
+from repro.eval.ground_truth import exact_rfann_np
 
 
 class PrefilterIndex:
@@ -31,9 +32,10 @@ class PrefilterIndex:
         hi = min(len(self.vectors), hi)
         if lo > hi:
             return np.empty(0, dtype=np.int64)
-        dist = dist_batch(query, self.vectors[lo - 1 : hi], counter)
-        order = np.argsort(dist, kind="stable")[:k]
-        return order + lo
+        if counter is not None:
+            counter.add(hi - lo + 1)
+        ranks, _ = exact_rfann_np(self.vectors, query, lo, hi, k)
+        return ranks
 
     def memory_bytes(self) -> dict[str, int]:
         return {"vectors": int(self.vectors.nbytes), "index": 0}

@@ -39,8 +39,7 @@ from functools import partial
 import numpy as np
 
 from repro.core.beam_search import beam_search, top_k
-from repro.core.neighbors import (DistanceCounter, adjacency_bytes,
-                                  dist_batch)
+from repro.core.neighbors import DistanceCounter, dist_batch
 from repro.core.segment_tree import SegmentTree
 
 
@@ -154,7 +153,7 @@ class IRangeGraphIndex:
         """Memory accounting for Table 2: vectors vs index (edges)."""
         return {
             "vectors": int(self.vectors.nbytes),
-            "index": int(sum(adjacency_bytes(a) for a in self.layer_adj)),
+            "index": int(sum(a.nbytes for a in self.layer_adj)),
         }
 
 

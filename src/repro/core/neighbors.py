@@ -70,8 +70,3 @@ def pack_neighbors(neighbor_lists: list[np.ndarray], m: int) -> np.ndarray:
         k = min(len(nbrs), m)
         adj[i, :k] = nbrs[:k]
     return adj
-
-
-def adjacency_bytes(adj: np.ndarray) -> int:
-    """Memory accounting: bytes of one padded adjacency."""
-    return int(adj.nbytes)

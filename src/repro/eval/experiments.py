@@ -1,9 +1,9 @@
 """Experiment drivers behind every table/figure reproduction.
 
-One function per paper artifact (Tables 1–3, Figures 2–5, scalability),
-called by the ``jobs/`` spark-submit entrypoints. Everything returns
-plain dicts / lists so results can be dumped to ``results/*.json``,
-rendered into EXPERIMENTS.md and checked by ``tests/test_claims.py``.
+One function per paper artifact (Tables 2–3, Figures 2–5, scalability),
+called by ``jobs/run_all.py``. Everything returns plain dicts / lists so
+results can be dumped to ``results/run_all.json``, rendered into
+EXPERIMENTS.md and checked by ``tests/test_claims.py``.
 
 Method registry: the keys below are the method names used in every
 table, matching the paper's Figure-2 lineup.
@@ -30,10 +30,11 @@ from repro.core.irange_build import (build_irange_index,
                                      build_irange_index_local)
 from repro.core.irange_graph import BasicSearchIndex, IRangeGraphIndex
 from repro.core.multi_attr import MultiAttrIndex
-from repro.eval.datasets import RFDataset
+from repro.eval.datasets import RFDataset, load_dataset
 from repro.eval.ground_truth import ground_truth_spark
 from repro.eval.harness import (DEFAULT_BEAMS, dists_at_recall, max_recall,
                                 qps_at_recall, run_curve)
+from repro.eval.memory import footprint_mb
 from repro.eval.workloads import (RangeQuery, fixed_workload, mixed_workload,
                                   multiattr_workload, shared_range_workload)
 
@@ -59,10 +60,10 @@ class BuiltSuite:
     indexes: dict[str, object]
     build_seconds: dict[str, float]
     hnsw_build_seconds: float  # reference cost (Theorem 3.1 check)
-    config: dict = field(default_factory=dict)
     # Driver-local iRangeGraph build time (no Spark job overhead) — the
     # clean numerator for the paper's "<= 3x HNSW" indexing-time claim.
-    irange_local_seconds: float | None = None
+    irange_local_seconds: float
+    config: dict = field(default_factory=dict)
 
 
 def default_config(n: int) -> dict:
@@ -80,17 +81,27 @@ def default_config(n: int) -> dict:
     }
 
 
-def build_suite(
-    spark, ds: RFDataset, cfg: dict | None = None,
-    *, time_local_irange: bool = False,
-) -> BuiltSuite:
+def build_irange_spark(spark, X: np.ndarray,
+                       cfg: dict) -> tuple[IRangeGraphIndex, float]:
+    """Spark iRangeGraph build over ``X`` (row ``i`` has rank ``i + 1``)
+    and its seconds, timed from the moment the vectors are a DataFrame."""
+    vec_df = spark.createDataFrame(pd.DataFrame(
+        {"rank": np.arange(1, len(X) + 1), "vector": [v.tolist() for v in X]}
+    ))
+    t0 = time.perf_counter()
+    idx = build_irange_index(spark, vec_df, m=cfg["m"], ef=cfg["ef"],
+                             leaf_size=cfg["leaf_size"])
+    return idx, time.perf_counter() - t0
+
+
+def build_suite(spark, ds: RFDataset, cfg: dict | None = None) -> BuiltSuite:
     """Build every Figure-2 method's index, timing each build.
 
-    ``time_local_irange`` additionally times a driver-only iRangeGraph
-    build (identical output; no Spark job latency: the Spark build runs
-    one job for the subtrees of the shallowest layer with
-    ``defaultParallelism`` segments and one per layer above it) so the
-    Theorem-3.1 build-cost ratio is not inflated by scheduler overhead.
+    Also times a driver-only iRangeGraph build (identical output; no
+    Spark job latency: the Spark build runs one job for the subtrees of
+    the shallowest layer with ``defaultParallelism`` segments and one per
+    layer above it) so the Theorem-3.1 build-cost ratio is not inflated
+    by scheduler overhead.
     """
     cfg = cfg or default_config(ds.n)
     m, ef = cfg["m"], cfg["ef"]
@@ -104,15 +115,8 @@ def build_suite(
         times[name] = time.perf_counter() - t0
         return out
 
-    vec_df = spark.createDataFrame(pd.DataFrame(
-        {"rank": np.arange(1, ds.n + 1), "vector": [v.tolist() for v in X]}
-    ))
-    idx["iRangeGraph"] = timed(
-        "iRangeGraph",
-        lambda: build_irange_index(
-            spark, vec_df, m=m, ef=ef, leaf_size=cfg["leaf_size"]
-        ),
-    )
+    idx["iRangeGraph"], times["iRangeGraph"] = build_irange_spark(
+        spark, X, cfg)
     idx["SuperPostfiltering"] = timed(
         "SuperPostfiltering",
         lambda: SuperPostfilterIndex(
@@ -143,15 +147,12 @@ def build_suite(
     t0 = time.perf_counter()
     build_hnsw(X, m=m, ef_construction=ef)
     hnsw_s = time.perf_counter() - t0
-    local_s = None
-    if time_local_irange:
-        t0 = time.perf_counter()
-        build_irange_index_local(X, m=m, ef=ef, leaf_size=cfg["leaf_size"])
-        local_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    build_irange_index_local(X, m=m, ef=ef, leaf_size=cfg["leaf_size"])
+    local_s = time.perf_counter() - t0
     return BuiltSuite(
         dataset=ds, indexes=idx, build_seconds=times,
-        hnsw_build_seconds=hnsw_s, config=cfg,
-        irange_local_seconds=local_s,
+        hnsw_build_seconds=hnsw_s, irange_local_seconds=local_s, config=cfg,
     )
 
 
@@ -174,12 +175,32 @@ def search_fn(index, **kw) -> callable:
     return fn
 
 
-def make_workload(name: str, n: int, nq: int, *, seed: int = 0,
-                  max_exp: int = 8) -> list[RangeQuery]:
+def make_workload(name: str, n: int, nq: int, *,
+                  seed: int = 0) -> list[RangeQuery]:
     exp = FIG2_WORKLOADS[name]
     if exp is None:
-        return mixed_workload(n, nq, max_exp=max_exp, seed=seed)
+        return mixed_workload(n, nq, seed=seed)
     return fixed_workload(n, nq, exp, seed=seed)
+
+
+def run_curves(spark, suite: BuiltSuite, wl: list[RangeQuery],
+               fns: dict[str, callable]) -> dict:
+    """Exact ground truth for ``wl``, then one beam sweep per search
+    function: ``{name: {curve, qps@0.9, dists@0.9, max_recall}}``."""
+    ds, cfg = suite.dataset, suite.config
+    k, beams = cfg["k"], tuple(cfg["beams"])
+    gt = ground_truth_spark(spark, ds.vectors, wl, ds.queries, k=k,
+                            attr2_rank=ds.attr2_rank)
+    out = {}
+    for name, fn in fns.items():
+        rows = run_curve(fn, wl, ds.queries, gt, k=k, beams=beams)
+        out[name] = {
+            "curve": rows,
+            "qps@0.9": qps_at_recall(rows),
+            "dists@0.9": dists_at_recall(rows),
+            "max_recall": max_recall(rows),
+        }
+    return out
 
 
 # ------------------------------------------------------------------ figure 2
@@ -187,32 +208,18 @@ def run_fig2(
     spark, suite: BuiltSuite, *, nq: int = 40, seed: int = 0
 ) -> dict:
     """qps-recall curves for every method on the 4 Figure-2 workloads."""
-    ds, cfg = suite.dataset, suite.config
-    k, beams = cfg["k"], tuple(cfg["beams"])
-    out: dict = {"dataset": ds.name, "workloads": {}}
-    for wname in FIG2_WORKLOADS:
-        wl = make_workload(wname, ds.n, nq, seed=seed)
-        gt = ground_truth_spark(spark, ds.vectors, wl, ds.queries, k=k)
-        per_method = {}
-        for mname, index in suite.indexes.items():
-            rows = run_curve(
-                search_fn(index), wl, ds.queries, gt, k=k, beams=beams
-            )
-            per_method[mname] = {
-                "curve": rows,
-                "qps@0.9": qps_at_recall(rows),
-                "dists@0.9": dists_at_recall(rows),
-                "max_recall": max_recall(rows),
-            }
-        out["workloads"][wname] = per_method
-    return out
+    ds = suite.dataset
+    fns = {name: search_fn(index) for name, index in suite.indexes.items()}
+    return {"dataset": ds.name, "workloads": {
+        wname: run_curves(spark, suite,
+                          make_workload(wname, ds.n, nq, seed=seed), fns)
+        for wname in FIG2_WORKLOADS
+    }}
 
 
 # ------------------------------------------------------------------ table 2
 def run_table2(suite: BuiltSuite) -> dict:
     """Memory footprint (MiB): vectors + index per method."""
-    from repro.eval.memory import footprint_mb
-
     ds = suite.dataset
     rows = {"raw vectors": ds.vectors.nbytes / (1 << 20)}
     for name, index in suite.indexes.items():
@@ -223,20 +230,18 @@ def run_table2(suite: BuiltSuite) -> dict:
 # ------------------------------------------------------------------ table 3
 def run_table3(suite: BuiltSuite) -> dict:
     """Indexing time (s) per method + the HNSW reference build."""
-    out = {
+    return {
         "dataset": suite.dataset.name,
         "seconds": dict(suite.build_seconds),
         "hnsw_reference_seconds": suite.hnsw_build_seconds,
         "irange_over_hnsw": (
             suite.build_seconds["iRangeGraph"] / suite.hnsw_build_seconds
         ),
-    }
-    if suite.irange_local_seconds is not None:
-        out["irange_local_seconds"] = suite.irange_local_seconds
-        out["irange_local_over_hnsw"] = (
+        "irange_local_seconds": suite.irange_local_seconds,
+        "irange_local_over_hnsw": (
             suite.irange_local_seconds / suite.hnsw_build_seconds
-        )
-    return out
+        ),
+    }
 
 
 # ------------------------------------------------------------------ figure 3
@@ -244,26 +249,16 @@ def run_fig3(
     spark, suite: BuiltSuite, *, nq: int = 40, seed: int = 0
 ) -> dict:
     """Ablation: iRangeGraph vs iRangeGraph- (no skip) vs BasicSearch."""
-    ds, cfg = suite.dataset, suite.config
-    k, beams = cfg["k"], tuple(cfg["beams"])
+    ds = suite.dataset
     ir: IRangeGraphIndex = suite.indexes["iRangeGraph"]
-    wl = mixed_workload(ds.n, nq, seed=seed)
-    gt = ground_truth_spark(spark, ds.vectors, wl, ds.queries, k=k)
-
     variants = {
         "iRangeGraph": search_fn(ir),
         "iRangeGraph-": search_fn(ir, skip_layers=False),
         "BasicSearch": search_fn(BasicSearchIndex(ir)),
     }
-    out = {"dataset": ds.name, "variants": {}}
-    for name, fn in variants.items():
-        rows = run_curve(fn, wl, ds.queries, gt, k=k, beams=beams)
-        out["variants"][name] = {
-            "curve": rows,
-            "qps@0.9": qps_at_recall(rows),
-            "dists@0.9": dists_at_recall(rows),
-        }
-    return out
+    wl = make_workload("mixed", ds.n, nq, seed=seed)
+    return {"dataset": ds.name,
+            "variants": run_curves(spark, suite, wl, variants)}
 
 
 # ------------------------------------------------------------------ figure 4
@@ -274,47 +269,31 @@ def run_fig4(
     """Gap to Oracle-HNSW on a shared-range mixed workload, and the
     oracle's index size (MiB) for the workload's few distinct ranges."""
     ds, cfg = suite.dataset, suite.config
-    k, beams = cfg["k"], tuple(cfg["beams"])
     wl = shared_range_workload(ds.n, nq, n_ranges=n_ranges, seed=seed)
-    gt = ground_truth_spark(spark, ds.vectors, wl, ds.queries, k=k)
     t0 = time.perf_counter()
     oracle = OracleHnswIndex(
         ds.vectors, [(q.lo, q.hi) for q in wl], m=cfg["m"], ef=cfg["ef"],
         spark=spark,
     )
     oracle_build_s = time.perf_counter() - t0
-    out = {"dataset": ds.name, "oracle_build_seconds": oracle_build_s,
-           "oracle_index_mb": oracle.memory_bytes()["index"] / (1 << 20),
-           "methods": {}}
-    for name, index in (
-        ("iRangeGraph", suite.indexes["iRangeGraph"]),
-        ("Oracle-HNSW", oracle),
-    ):
-        rows = run_curve(search_fn(index), wl, ds.queries, gt, k=k,
-                         beams=beams)
-        out["methods"][name] = {
-            "curve": rows,
-            "qps@0.9": qps_at_recall(rows),
-            "dists@0.9": dists_at_recall(rows),
-        }
-    return out
+    methods = {
+        "iRangeGraph": search_fn(suite.indexes["iRangeGraph"]),
+        "Oracle-HNSW": search_fn(oracle),
+    }
+    return {"dataset": ds.name, "oracle_build_seconds": oracle_build_s,
+            "oracle_index_mb": oracle.memory_bytes()["index"] / (1 << 20),
+            "methods": run_curves(spark, suite, wl, methods)}
 
 
 # ------------------------------------------------------------------ figure 5
 def run_fig5(
-    spark, suite: BuiltSuite, *, nq: int = 40, frac_exp: int = 2,
-    seed: int = 0
+    spark, suite: BuiltSuite, *, nq: int = 40, seed: int = 0
 ) -> dict:
-    """Multi-attribute RFANN: iRangeGraph(+) vs the extendable baselines."""
-    ds, cfg = suite.dataset, suite.config
+    """Multi-attribute RFANN (expected fraction 2^-2 per attribute):
+    iRangeGraph(+) vs the extendable baselines."""
+    ds = suite.dataset
     assert ds.attr2_rank is not None, f"{ds.name} has no second attribute"
-    k, beams = cfg["k"], tuple(cfg["beams"])
-    wl = multiattr_workload(ds.n, nq, frac_exp=frac_exp, seed=seed)
-    gt = ground_truth_spark(
-        spark, ds.vectors, wl, ds.queries, k=k, attr2_rank=ds.attr2_rank
-    )
     multi = MultiAttrIndex(suite.indexes["iRangeGraph"], ds.attr2_rank)
-
     methods = {
         "iRangeGraph+": search_fn(multi, mode="prob"),
         "iRangeGraph": search_fn(multi, mode="post"),
@@ -329,16 +308,9 @@ def run_fig5(
             ConjunctivePrefilter(ds.vectors, ds.attr2_rank)
         ),
     }
-    out = {"dataset": ds.name, "methods": {}}
-    for name, fn in methods.items():
-        rows = run_curve(fn, wl, ds.queries, gt, k=k, beams=beams)
-        out["methods"][name] = {
-            "curve": rows,
-            "qps@0.9": qps_at_recall(rows),
-            "dists@0.9": dists_at_recall(rows),
-            "max_recall": max_recall(rows),
-        }
-    return out
+    wl = multiattr_workload(ds.n, nq, seed=seed)
+    return {"dataset": ds.name,
+            "methods": run_curves(spark, suite, wl, methods)}
 
 
 # --------------------------------------------------------------- scalability
@@ -346,25 +318,11 @@ def run_scalability(
     spark, name: str, sizes: list[int], *, nq: int = 20, seed: int = 7
 ) -> list[dict]:
     """Section 5.2.3 stand-in: index cost & search cost vs dataset size."""
-    from repro.eval.datasets import load_dataset
-    from repro.eval.memory import footprint_mb
-
     out = []
     for n in sizes:
         ds = load_dataset(spark, name, n=n, nq=nq, seed=seed)
-        cfg = default_config(n)
-        pdf = pd.DataFrame(
-            {
-                "rank": np.arange(1, n + 1),
-                "vector": [v.tolist() for v in ds.vectors],
-            }
-        )
-        t0 = time.perf_counter()
-        idx = build_irange_index(
-            spark, spark.createDataFrame(pdf), m=cfg["m"], ef=cfg["ef"],
-            leaf_size=cfg["leaf_size"],
-        )
-        build_s = time.perf_counter() - t0
+        idx, build_s = build_irange_spark(spark, ds.vectors,
+                                          default_config(n))
         wl = mixed_workload(n, nq, seed=seed)
         gt = ground_truth_spark(spark, ds.vectors, wl, ds.queries, k=10)
         rows = run_curve(search_fn(idx), wl, ds.queries, gt, k=10,

@@ -1,9 +1,9 @@
 """Unit tests for distance kernels and the padded-adjacency helpers."""
 import numpy as np
 
-from repro.core.neighbors import (NO_EDGE, DistanceCounter, adjacency_bytes,
-                                  dist_batch, empty_adjacency,
-                                  pack_neighbors, pairwise_sq)
+from repro.core.neighbors import (NO_EDGE, DistanceCounter, dist_batch,
+                                  empty_adjacency, pack_neighbors,
+                                  pairwise_sq)
 
 
 def test_dist_batch_values_and_counter():
@@ -57,5 +57,6 @@ def test_pack_and_read_neighbors():
 
 
 def test_adjacency_bytes_is_int32():
+    """Table 2 counts 4 bytes per padded edge slot."""
     adj = empty_adjacency(10, 4)
-    assert adjacency_bytes(adj) == 10 * 4 * 4
+    assert adj.nbytes == 10 * 4 * 4
