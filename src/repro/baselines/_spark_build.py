@@ -1,10 +1,11 @@
-"""Shared Spark builder: one HNSW-lite graph per subset of the dataset.
+"""Shared Spark builder: one HNSW-lite graph per rank interval.
 
 Milvus-like partitions, SuperPostfiltering windows, StitchedVamana label
-buckets and Oracle-HNSW ranges all need "a proximity graph per rank
-subset". This helper builds each subset as one task of
+buckets and Oracle-HNSW ranges all need "a proximity graph per
+consecutive rank range". This helper builds each interval as one task of
 :func:`~repro.core.tasks.run_tasks`, on the driver or in one Spark job,
-and returns searchable :class:`SubsetGraph` objects.
+and returns :class:`SubsetGraph` objects in global ids over the one
+shared vector array.
 """
 from __future__ import annotations
 
@@ -12,81 +13,81 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.hnsw import FlatGraph, build_hnsw
-from repro.core.neighbors import DistanceCounter
+from repro.core.beam_search import beam_search
+from repro.core.hnsw import build_hnsw
+from repro.core.neighbors import NO_EDGE, DistanceCounter
 from repro.core.tasks import run_tasks
 
 
 @dataclass
 class SubsetGraph:
-    """An HNSW-lite over a subset of ranks, searchable in global terms."""
+    """An HNSW-lite over the ranks ``[lo, hi]``: row ``i`` of ``adj``
+    holds the out-edges of node ``lo - 1 + i``, in global 0-based ids."""
 
-    ranks: np.ndarray  # sorted 1-based global ranks (local id -> rank)
-    graph: FlatGraph
+    lo: int
+    hi: int
+    adj: np.ndarray  # (hi - lo + 1, m) int32, NO_EDGE padded
+    entry: int  # global 0-based id
+    vectors: np.ndarray  # the whole dataset, shared by every graph
 
     def search(
         self,
         query: np.ndarray,
         *,
         beam: int,
-        k: int,
         counter: DistanceCounter | None = None,
-        rank_range: tuple[int, int] | None = None,
-    ) -> np.ndarray:
-        """Top-k global ranks; optionally post-filtered to ``rank_range``
-        (the traversal is unconstrained)."""
-        ranks = self.ranks
-        keep = None
-        if rank_range is not None:
-            lo, hi = rank_range
-
-            def keep(ids: np.ndarray) -> np.ndarray:
-                r = ranks[ids]
-                return (r >= lo) & (r <= hi)
-
-        local = self.graph.search(query, beam=beam, k=k, counter=counter,
-                                  result_keep=keep)
-        return ranks[local]
-
-    def memory_bytes(self) -> int:
-        return int(self.graph.adj.nbytes)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Beam search this graph; every scored (0-based id, distance)."""
+        adj, off = self.adj, self.lo - 1
+        return beam_search(
+            query,
+            self.vectors,
+            lambda u: adj[u - off][adj[u - off] >= 0],
+            [self.entry],
+            beam=beam,
+            counter=counter,
+        )
 
 
 def build_subset_graphs(
     spark,
     vectors: np.ndarray,
-    subsets: dict[int, np.ndarray],
+    intervals: dict[int, tuple[int, int]],
     *,
     m: int,
     ef: int,
-    seed: int = 0,
 ) -> dict[int, SubsetGraph]:
-    """Build one HNSW-lite per subset (``gid -> sorted 1-based ranks``).
+    """Build one HNSW-lite per interval (``gid -> (lo, hi)``, 1-based
+    ranks, inclusive).
 
     One path for both executors (``spark=None`` runs on the driver): each
-    subset is one task of :func:`~repro.core.tasks.run_tasks`, sized by
-    its number of ranks, whose block is ``[entry, *adj.ravel()]``. The
-    vectors and ranks travel in the function's closure. Deterministic:
-    each subset's insertion order comes from a seeded permutation keyed
-    by ``(seed, gid)``, so both executors build identical graphs.
+    interval is one task of :func:`~repro.core.tasks.run_tasks`, sized by
+    its number of ranks, whose block is ``[entry, *adj.ravel()]`` shifted
+    to global 0-based ids. The vectors travel in the function's closure.
+    Deterministic: each interval's insertion order is a permutation
+    seeded by ``(0, gid)``, so both executors build identical graphs.
     """
     vectors = np.ascontiguousarray(vectors, dtype=np.float32)
-    subsets = {int(gid): np.sort(np.asarray(r, dtype=np.int64))
-               for gid, r in subsets.items()}
 
-    def build_one(gid: int) -> np.ndarray:
-        ranks = subsets[gid]
-        order = np.random.default_rng((seed, gid)).permutation(len(ranks))
-        g = build_hnsw(vectors[ranks - 1], m=m, ef_construction=ef,
+    def build_one(gid: int, lo: int, hi: int) -> np.ndarray:
+        order = np.random.default_rng((0, gid)).permutation(hi - lo + 1)
+        g = build_hnsw(vectors[lo - 1 : hi], m=m, ef_construction=ef,
                        order=order)
-        return np.concatenate(([g.entry], g.adj.ravel()))
+        block = np.concatenate(([g.entry], g.adj.ravel()))
+        return np.where(block >= 0, block + (lo - 1), NO_EDGE)
 
-    gids = list(subsets)
-    blocks = run_tasks(spark, build_one, [(g,) for g in gids],
-                       [len(subsets[g]) for g in gids])
+    tasks = [(gid, int(lo), int(hi)) for gid, (lo, hi) in intervals.items()]
+    blocks = run_tasks(spark, build_one, tasks,
+                       [hi - lo + 1 for _, lo, hi in tasks])
     return {
-        gid: SubsetGraph(ranks=subsets[gid], graph=FlatGraph(
-            vectors=vectors[subsets[gid] - 1],
-            adj=block[1:].reshape(-1, m), entry=int(block[0])))
-        for gid, block in zip(gids, blocks)
+        gid: SubsetGraph(lo=lo, hi=hi, adj=block[1:].reshape(-1, m),
+                         entry=int(block[0]), vectors=vectors)
+        for (gid, lo, hi), block in zip(tasks, blocks)
     }
+
+
+def subset_memory_bytes(vectors: np.ndarray,
+                        graphs: dict[int, SubsetGraph]) -> dict[str, int]:
+    """Table 2 bytes: the shared vectors once, plus every graph's edges."""
+    return {"vectors": int(vectors.nbytes),
+            "index": int(sum(g.adj.nbytes for g in graphs.values()))}

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines._spark_build import SubsetGraph, build_subset_graphs
+from repro.baselines._spark_build import build_subset_graphs
 from repro.core.beam_search import beam_search, top_k
 from repro.core.hnsw import build_hnsw
 
@@ -90,21 +90,15 @@ class StitchedVamanaIndex(_LabelIndexBase):
         m: int = 16,
         ef: int = 100,
         spark=None,
-        seed: int = 0,
     ) -> None:
         super().__init__(vectors, n_labels)
-        subsets = {
-            b: np.arange(self.bounds[b] + 1, self.bounds[b + 1] + 1,
-                         dtype=np.int64)
-            for b in self.medoids
-        }
-        graphs: dict[int, SubsetGraph] = build_subset_graphs(
-            spark, vectors, subsets, m=m, ef=ef, seed=seed
-        )
+        intervals = {b: (self.bounds[b] + 1, self.bounds[b + 1])
+                     for b in self.medoids}
+        graphs = build_subset_graphs(spark, self.vectors, intervals, m=m,
+                                     ef=ef)
         self.adj = np.full((self.n, m), -1, dtype=np.int32)
         for g in graphs.values():
-            a = g.graph.adj  # local ids -> global 0-based ids
-            self.adj[g.ranks - 1] = np.where(a >= 0, g.ranks[a] - 1, -1)
+            self.adj[g.lo - 1 : g.hi] = g.adj
 
 
 class FilteredVamanaIndex(_LabelIndexBase):

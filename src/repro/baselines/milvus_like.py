@@ -4,14 +4,15 @@ Milvus partitions the dataset into consecutive-attribute subsets, builds
 an HNSW per subset, and answers an RFANN query by searching every subset
 that intersects the query range (applying the range predicate as a
 bitset during search, i.e., unconstrained traversal + filtered results)
-and merging the per-subset top-k. Fully covered subsets need no filter;
-boundary subsets post-filter on the range.
+and merging the per-subset top-k by (distance, rank). The filter only
+drops results of the boundary subsets.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines._spark_build import SubsetGraph, build_subset_graphs
+from repro.baselines._spark_build import (SubsetGraph, build_subset_graphs,
+                                          subset_memory_bytes)
 from repro.core.neighbors import DistanceCounter
 
 
@@ -26,22 +27,19 @@ class MilvusLikeIndex:
         m: int = 16,
         ef: int = 100,
         spark=None,
-        seed: int = 0,
     ) -> None:
+        self.vectors = np.ascontiguousarray(vectors, dtype=np.float32)
         n = len(vectors)
         self.n = n
         bounds = np.linspace(0, n, n_buckets + 1, dtype=np.int64)
         self.bounds = bounds  # bucket b covers ranks (bounds[b], bounds[b+1]]
-        subsets = {
-            b: np.arange(bounds[b] + 1, bounds[b + 1] + 1, dtype=np.int64)
+        intervals = {
+            b: (bounds[b] + 1, bounds[b + 1])
             for b in range(n_buckets)
             if bounds[b + 1] > bounds[b]
         }
         self.graphs: dict[int, SubsetGraph] = build_subset_graphs(
-            spark, vectors, subsets, m=m, ef=ef, seed=seed
-        )
-        self.vector_bytes = int(
-            np.ascontiguousarray(vectors, dtype=np.float32).nbytes
+            spark, self.vectors, intervals, m=m, ef=ef
         )
 
     def _buckets_for(self, lo: int, hi: int) -> list[int]:
@@ -67,32 +65,14 @@ class MilvusLikeIndex:
             return np.empty(0, dtype=np.int64)
         merged: list[tuple[float, int]] = []
         for b in self._buckets_for(lo, hi):
-            g = self.graphs[b]
-            fully = lo <= self.bounds[b] + 1 and self.bounds[b + 1] <= hi
-            res = g.search(
-                query,
-                beam=beam,
-                k=k,
-                counter=counter,
-                rank_range=None if fully else (lo, hi),
-            )
-            for r in res:
-                d = self._dist(query, r)
-                merged.append((d, int(r)))
+            ids, dists = self.graphs[b].search(query, beam=beam,
+                                               counter=counter)
+            keep = (ids >= lo - 1) & (ids < hi)
+            ids, dists = ids[keep], dists[keep]
+            top = np.argsort(dists, kind="stable")[:k]
+            merged += zip(dists[top].tolist(), (ids[top] + 1).tolist())
         merged.sort()
         return np.asarray([r for _, r in merged[:k]], dtype=np.int64)
 
-    def _dist(self, query: np.ndarray, rank: int) -> float:
-        # Merge step re-reads the result distance; cached per subset in a
-        # real system, so not charged to the distance counter.
-        b = int(np.searchsorted(self.bounds, rank, side="left")) - 1
-        g = self.graphs[b]
-        v = g.graph.vectors[int(np.searchsorted(g.ranks, rank))]
-        d = v - query
-        return float(np.dot(d, d))
-
     def memory_bytes(self) -> dict[str, int]:
-        return {
-            "vectors": self.vector_bytes,
-            "index": int(sum(g.memory_bytes() for g in self.graphs.values())),
-        }
+        return subset_memory_bytes(self.vectors, self.graphs)

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines._spark_build import SubsetGraph, build_subset_graphs
+from repro.baselines._spark_build import (SubsetGraph, build_subset_graphs,
+                                          subset_memory_bytes)
+from repro.core.beam_search import top_k
 from repro.core.neighbors import DistanceCounter
 
 
@@ -29,21 +31,14 @@ class OracleHnswIndex:
         m: int = 16,
         ef: int = 100,
         spark=None,
-        seed: int = 0,
     ) -> None:
+        self.vectors = np.ascontiguousarray(vectors, dtype=np.float32)
         self.n = len(vectors)
         self.ranges = sorted({(int(lo), int(hi)) for lo, hi in ranges})
-        subsets = {
-            i: np.arange(lo, hi + 1, dtype=np.int64)
-            for i, (lo, hi) in enumerate(self.ranges)
-        }
         self.graphs: dict[int, SubsetGraph] = build_subset_graphs(
-            spark, vectors, subsets, m=m, ef=ef, seed=seed
+            spark, self.vectors, dict(enumerate(self.ranges)), m=m, ef=ef
         )
         self._by_range = {r: i for i, r in enumerate(self.ranges)}
-        self.vector_bytes = int(
-            np.ascontiguousarray(vectors, dtype=np.float32).nbytes
-        )
 
     def search(
         self,
@@ -62,10 +57,7 @@ class OracleHnswIndex:
                 "the ranges it was materialized for"
             )
         g = self.graphs[self._by_range[key]]
-        return g.search(query, beam=beam, k=k, counter=counter)
+        return top_k(*g.search(query, beam=beam, counter=counter), k) + 1
 
     def memory_bytes(self) -> dict[str, int]:
-        return {
-            "vectors": self.vector_bytes,
-            "index": int(sum(g.memory_bytes() for g in self.graphs.values())),
-        }
+        return subset_memory_bytes(self.vectors, self.graphs)

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines._spark_build import SubsetGraph, build_subset_graphs
+from repro.baselines._spark_build import (SubsetGraph, build_subset_graphs,
+                                          subset_memory_bytes)
+from repro.core.beam_search import top_k
 from repro.core.neighbors import DistanceCounter
 
 
@@ -50,19 +52,12 @@ class SuperPostfilterIndex:
         ef: int = 100,
         min_window: int = 64,
         spark=None,
-        seed: int = 0,
     ) -> None:
+        self.vectors = np.ascontiguousarray(vectors, dtype=np.float32)
         self.n = len(vectors)
         self.windows = window_layout(self.n, min_window)
-        subsets = {
-            i: np.arange(lo, hi + 1, dtype=np.int64)
-            for i, (lo, hi) in enumerate(self.windows)
-        }
         self.graphs: dict[int, SubsetGraph] = build_subset_graphs(
-            spark, vectors, subsets, m=m, ef=ef, seed=seed
-        )
-        self.vector_bytes = int(
-            np.ascontiguousarray(vectors, dtype=np.float32).nbytes
+            spark, self.vectors, dict(enumerate(self.windows)), m=m, ef=ef
         )
 
     def covering_window(self, lo: int, hi: int) -> int:
@@ -87,12 +82,9 @@ class SuperPostfilterIndex:
         if lo > hi:
             return np.empty(0, dtype=np.int64)
         g = self.graphs[self.covering_window(lo, hi)]
-        return g.search(
-            query, beam=beam, k=k, counter=counter, rank_range=(lo, hi)
-        )
+        ids, dists = g.search(query, beam=beam, counter=counter)
+        return top_k(ids, dists, k,
+                     keep=lambda i: (i >= lo - 1) & (i < hi)) + 1
 
     def memory_bytes(self) -> dict[str, int]:
-        return {
-            "vectors": self.vector_bytes,
-            "index": int(sum(g.memory_bytes() for g in self.graphs.values())),
-        }
+        return subset_memory_bytes(self.vectors, self.graphs)

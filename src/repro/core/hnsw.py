@@ -26,16 +26,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.beam_search import beam_search, top_k
-from repro.core.neighbors import DistanceCounter, pack_neighbors
+from repro.core.beam_search import beam_search
+from repro.core.neighbors import pack_neighbors
 from repro.core.rng_prune import rng_prune
 
 
 @dataclass
 class FlatGraph:
-    """A searchable flat proximity graph over ``vectors`` (local ids)."""
+    """A flat proximity graph over the builder's vectors (local ids)."""
 
-    vectors: np.ndarray  # (n, d) float32
     adj: np.ndarray  # (n, m) int32, NO_EDGE padded
     entry: int  # entry node for greedy search
 
@@ -44,30 +43,6 @@ class FlatGraph:
     edge_dst: np.ndarray | None = field(default=None, repr=False)
     edge_birth: np.ndarray | None = field(default=None, repr=False)
     edge_death: np.ndarray | None = field(default=None, repr=False)
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def search(
-        self,
-        query: np.ndarray,
-        *,
-        beam: int,
-        k: int,
-        counter: DistanceCounter | None = None,
-        result_keep=None,
-    ) -> np.ndarray:
-        """Beam search this graph; returns up to ``k`` local ids."""
-        adj = self.adj
-        ids, dists = beam_search(
-            query,
-            self.vectors,
-            lambda u: adj[u][adj[u] >= 0],
-            [self.entry],
-            beam=beam,
-            counter=counter,
-        )
-        return top_k(ids, dists, k, keep=result_keep)
 
 
 def build_hnsw(
@@ -136,7 +111,7 @@ def build_hnsw(
                 adj_lists[v] = kept_list
 
     adj = pack_neighbors([np.asarray(l) for l in adj_lists], m)
-    g = FlatGraph(vectors=vectors, adj=adj, entry=int(order[0]))
+    g = FlatGraph(adj=adj, entry=int(order[0]))
     if record_history:
         # Drop zero-length intervals (edge born and pruned within the
         # same insertion step — it exists in no reconstructable state).

@@ -94,17 +94,3 @@ class SegmentTree:
     def segments_at(self, layer: int) -> list[Segment]:
         return self.layers[layer]
 
-
-def rank_of_attr(sorted_attrs, lo_val, hi_val) -> tuple[int, int]:
-    """Reduce an attribute-value range to a rank range [L, R] (Section 2.2).
-
-    ``sorted_attrs`` is the ascending attribute column; binary search maps
-    the raw query range ``[lo_val, hi_val]`` to 1-based ranks. Returns
-    ``L > R`` when no object falls in the range.
-    """
-    import numpy as np
-
-    a = np.asarray(sorted_attrs)
-    left = int(np.searchsorted(a, lo_val, side="left")) + 1
-    right = int(np.searchsorted(a, hi_val, side="right"))
-    return left, right

@@ -263,13 +263,12 @@ def run_fig3(
 
 # ------------------------------------------------------------------ figure 4
 def run_fig4(
-    spark, suite: BuiltSuite, *, nq: int = 40, n_ranges: int = 10,
-    seed: int = 0
+    spark, suite: BuiltSuite, *, nq: int = 40, seed: int = 0
 ) -> dict:
     """Gap to Oracle-HNSW on a shared-range mixed workload, and the
     oracle's index size (MiB) for the workload's few distinct ranges."""
     ds, cfg = suite.dataset, suite.config
-    wl = shared_range_workload(ds.n, nq, n_ranges=n_ranges, seed=seed)
+    wl = shared_range_workload(ds.n, nq, seed=seed)
     t0 = time.perf_counter()
     oracle = OracleHnswIndex(
         ds.vectors, [(q.lo, q.hi) for q in wl], m=cfg["m"], ef=cfg["ef"],

@@ -18,6 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_EXP = 8  # smallest fraction 2^-8: >= k objects at reproduction scale
+SHARED_RANGES = 10  # Figure 4's distinct ranges (Oracle-HNSW graphs)
+MULTIATTR_FRAC_EXP = 2  # Figure 5's expected fraction 2^-2 per attribute
+
 
 @dataclass(frozen=True)
 class RangeQuery:
@@ -48,7 +52,7 @@ def fixed_workload(
 
 
 def mixed_workload(
-    n: int, nq: int, *, max_exp: int = 8, seed: int = 0
+    n: int, nq: int, *, max_exp: int = MAX_EXP, seed: int = 0
 ) -> list[RangeQuery]:
     """Queries split into ``max_exp + 1`` groups with fractions 2^0..2^-max_exp.
 
@@ -65,29 +69,30 @@ def mixed_workload(
     return out
 
 
-def shared_range_workload(
-    n: int, nq: int, *, n_ranges: int = 10, max_exp: int = 8, seed: int = 0
-) -> list[RangeQuery]:
-    """Mixed fractions but only ``n_ranges`` distinct ranges (Figure 4).
+def shared_range_workload(n: int, nq: int, *,
+                          seed: int = 0) -> list[RangeQuery]:
+    """Mixed fractions but only ``SHARED_RANGES`` distinct ranges
+    (Figure 4).
 
-    Group ``j`` (fraction ``2^-(j mod (max_exp+1))``) shares one random
-    range across its queries, so Oracle-HNSW builds ``n_ranges`` graphs.
+    Group ``j`` (fraction ``2^-(j mod (MAX_EXP+1))``) shares one random
+    range across its queries, so Oracle-HNSW builds ``SHARED_RANGES``
+    graphs.
     """
     g = np.random.default_rng(seed)
     ranges = [
-        _random_range(n, max(1, n >> (j % (max_exp + 1))), g)
-        for j in range(n_ranges)
+        _random_range(n, max(1, n >> (j % (MAX_EXP + 1))), g)
+        for j in range(SHARED_RANGES)
     ]
-    return [RangeQuery(q, *ranges[q % n_ranges]) for q in range(nq)]
+    return [RangeQuery(q, *ranges[q % SHARED_RANGES]) for q in range(nq)]
 
 
-def multiattr_workload(
-    n: int, nq: int, *, frac_exp: int = 2, seed: int = 0
-) -> list[RangeQuery]:
+def multiattr_workload(n: int, nq: int, *,
+                       seed: int = 0) -> list[RangeQuery]:
     """Conjunctive two-attribute workload (Figure 5): each attribute gets
-    an independent random range of expected fraction ``2^-frac_exp``."""
+    an independent random range of expected fraction
+    ``2^-MULTIATTR_FRAC_EXP``."""
     g = np.random.default_rng(seed + 99)
-    length = max(1, n >> frac_exp)
+    length = max(1, n >> MULTIATTR_FRAC_EXP)
     out = []
     for q in range(nq):
         lo1, hi1 = _random_range(n, length, g)

@@ -74,7 +74,7 @@ def test_run_fig3_ablation_costs(tiny_suite):
 
 def test_run_fig4_oracle_gap(tiny_suite):
     spark, suite = tiny_suite
-    res = run_fig4(spark, suite, nq=8, n_ranges=4, seed=1)
+    res = run_fig4(spark, suite, nq=8, seed=1)
     assert set(res["methods"]) == {"iRangeGraph", "Oracle-HNSW"}
     assert res["oracle_build_seconds"] > 0
     assert res["oracle_index_mb"] > 0

@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from repro.baselines._spark_build import SubsetGraph
+from repro.core.beam_search import top_k
 from repro.core.hnsw import build_hnsw
 from repro.core.neighbors import DistanceCounter
 from tests import _reference_build as ref
@@ -12,6 +14,12 @@ from tests.conftest import make_clustered
 def graph_and_data():
     X, Q = make_clustered(256, 16, seed=7)
     return build_hnsw(X, m=8, ef_construction=60, seed=0), X, Q
+
+
+def _search(g, X, q, *, beam, k, counter=None):
+    """Top-k of ``g`` searched as the one interval [1, n]."""
+    sub = SubsetGraph(lo=1, hi=len(X), adj=g.adj, entry=g.entry, vectors=X)
+    return top_k(*sub.search(q, beam=beam, counter=counter), k)
 
 
 def test_degree_cap(graph_and_data):
@@ -38,7 +46,7 @@ def test_recall_on_clustered_data(graph_and_data):
     g, X, Q = graph_and_data
     hits = total = 0
     for q in Q:
-        res = g.search(q, beam=60, k=10)
+        res = _search(g, X, q, beam=60, k=10)
         ref = np.argsort(((X - q) ** 2).sum(axis=1))[:10]
         hits += len(set(res.tolist()) & set(ref.tolist()))
         total += 10
@@ -51,7 +59,7 @@ def test_beam_improves_recall(graph_and_data):
     def recall(beam):
         h = 0
         for q in Q:
-            res = g.search(q, beam=beam, k=10)
+            res = _search(g, X, q, beam=beam, k=10)
             ref = np.argsort(((X - q) ** 2).sum(axis=1))[:10]
             h += len(set(res.tolist()) & set(ref.tolist()))
         return h / (10 * len(Q))
@@ -60,10 +68,10 @@ def test_beam_improves_recall(graph_and_data):
 
 
 def test_search_counts_distances(graph_and_data):
-    g, _, Q = graph_and_data
+    g, X, Q = graph_and_data
     c = DistanceCounter()
-    g.search(Q[0], beam=20, k=5, counter=c)
-    assert 0 < c.count <= len(g)
+    _search(g, X, Q[0], beam=20, k=5, counter=c)
+    assert 0 < c.count <= len(X)
 
 
 def test_deterministic_given_seed():

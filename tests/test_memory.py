@@ -11,10 +11,11 @@ def test_footprint_missing_keys():
     assert footprint_mb({}) == 0.0
 
 
-def test_method_accounting_consistency(irange_index, whole_graph):
+def test_method_accounting_consistency(irange_index, whole_graph,
+                                       small_data):
     """iRangeGraph stores log-many layers; one flat graph stores one —
     index bytes must reflect that ordering (Table 2's shape)."""
     ir = irange_index.memory_bytes()
-    assert ir["vectors"] == whole_graph.vectors.nbytes
+    assert ir["vectors"] == small_data[0].nbytes
     layers = irange_index.tree.num_layers
     assert ir["index"] == layers * whole_graph.adj.nbytes

@@ -5,8 +5,7 @@ A name counts as used when it appears, as a Python name or as a quoted
 attribute name (``getattr``/patch style), somewhere in ``src/``,
 ``jobs/``, ``perfbench/`` or the root ``conftest.py`` more often than it
 is defined there. Code that only tests call is dead
-weight for the reproduction; the one kept exception is ``rank_of_attr``,
-the paper's Section 2.2 value-to-rank reduction.
+weight for the reproduction.
 """
 import ast
 import io
@@ -15,7 +14,6 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ALLOWED = {"rank_of_attr"}
 
 
 def _definitions(path: Path) -> list[str]:
@@ -54,4 +52,4 @@ def test_no_code_only_tests_call():
              for p in (ROOT / d).rglob("*.py")] + [ROOT / "conftest.py"]
     counts = _name_counts(users)
     unused = {name for name, n in defined.items() if counts[name] <= n}
-    assert unused == ALLOWED
+    assert unused == set()

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.segment_tree import Segment, SegmentTree, rank_of_attr
+from repro.core.segment_tree import Segment, SegmentTree
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 16, 100, 255, 256, 4096])
@@ -101,19 +101,6 @@ def test_segment_helpers():
     assert s.intersection(8, 30) == (8, 10)
     lo, hi = s.intersection(20, 30)
     assert lo > hi  # empty
-
-
-def test_rank_of_attr_basic():
-    attrs = [1.0, 2.0, 2.0, 5.0, 9.0]
-    assert rank_of_attr(attrs, 2.0, 5.0) == (2, 4)
-    assert rank_of_attr(attrs, 0.0, 10.0) == (1, 5)
-    lo, hi = rank_of_attr(attrs, 6.0, 8.0)
-    assert lo > hi  # empty range
-
-
-def test_rank_of_attr_duplicates_cover_all():
-    attrs = [1.0, 2.0, 2.0, 2.0, 3.0]
-    assert rank_of_attr(attrs, 2.0, 2.0) == (2, 4)
 
 
 def test_invalid_constructor_args():

@@ -4,7 +4,9 @@ import pandas as pd
 import pytest
 
 from repro.baselines._spark_build import build_subset_graphs
-from repro.baselines.superpostfilter import window_layout
+from repro.baselines.superpostfilter import SuperPostfilterIndex, window_layout
+from repro.core.beam_search import top_k
+from repro.core.hnsw import build_hnsw
 from repro.core.irange_build import (build_irange_index,
                                      build_irange_index_local)
 from tests.conftest import make_clustered
@@ -80,35 +82,33 @@ def test_spark_build_searches_well(spark, vec_df):
     assert hits / tot >= 0.85
 
 
+def _assert_same_graphs(got, want):
+    assert list(got) == list(want)
+    for gid in want:
+        assert (got[gid].lo, got[gid].hi) == (want[gid].lo, want[gid].hi)
+        np.testing.assert_array_equal(got[gid].adj, want[gid].adj)
+        assert got[gid].entry == want[gid].entry
+
+
 def test_subset_graphs_spark_equals_driver(spark):
     X, _ = make_clustered(192, 8, seed=22)
-    subsets = {
-        0: np.arange(1, 65), 1: np.arange(65, 129), 2: np.arange(129, 193)
-    }
-    via_spark = build_subset_graphs(spark, X, subsets, m=6, ef=30, seed=5)
-    via_driver = build_subset_graphs(None, X, subsets, m=6, ef=30, seed=5)
-    assert list(via_spark) == list(via_driver) == list(subsets)
-    for gid in subsets:
-        np.testing.assert_array_equal(
-            via_spark[gid].ranks, via_driver[gid].ranks
-        )
-        np.testing.assert_array_equal(
-            via_spark[gid].graph.adj, via_driver[gid].graph.adj
-        )
-        assert via_spark[gid].graph.entry == via_driver[gid].graph.entry
+    intervals = {0: (1, 64), 1: (65, 128), 2: (129, 192)}
+    via_spark = build_subset_graphs(spark, X, intervals, m=6, ef=30)
+    via_driver = build_subset_graphs(None, X, intervals, m=6, ef=30)
+    assert list(via_driver) == list(intervals)
+    _assert_same_graphs(via_spark, via_driver)
 
 
 def test_subset_graphs_spark_one_stage_few_tasks(spark):
-    """Subsets of unequal sizes (SuperPostfiltering windows) build in one
-    stage of at most defaultParallelism tasks, and every graph comes
+    """Intervals of unequal sizes (SuperPostfiltering windows) build in
+    one stage of at most defaultParallelism tasks, and every graph comes
     back under its gid."""
     X, _ = make_clustered(192, 8, seed=25)
-    subsets = {gid: np.arange(lo, hi + 1)[::-1]
-               for gid, (lo, hi) in enumerate(window_layout(192, 16))}
+    intervals = dict(enumerate(window_layout(192, 16)))
     sc = spark.sparkContext
     sc.setJobGroup("subset-graphs-test", "subset graphs")
     try:
-        via_spark = build_subset_graphs(spark, X, subsets, m=6, ef=30)
+        via_spark = build_subset_graphs(spark, X, intervals, m=6, ef=30)
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     st = sc.statusTracker()
@@ -116,25 +116,39 @@ def test_subset_graphs_spark_one_stage_few_tasks(spark):
              for job in st.getJobIdsForGroup("subset-graphs-test")
              for s in st.getJobInfo(job).stageIds]
     assert len(tasks) == 1 and tasks[0] <= sc.defaultParallelism
-    via_driver = build_subset_graphs(None, X, subsets, m=6, ef=30)
-    assert via_spark.keys() == via_driver.keys()
-    for gid, ranks in subsets.items():
-        np.testing.assert_array_equal(via_spark[gid].ranks, np.sort(ranks))
-        np.testing.assert_array_equal(
-            via_spark[gid].graph.adj, via_driver[gid].graph.adj
-        )
-        assert via_spark[gid].graph.entry == via_driver[gid].graph.entry
+    _assert_same_graphs(via_spark,
+                        build_subset_graphs(None, X, intervals, m=6, ef=30))
 
 
 def test_subset_graph_search_global_ranks(spark):
+    """A graph over ranks [33, 96] scores only its own nodes, in global
+    0-based ids; post-filtering them keeps a narrower range."""
     X, Q = make_clustered(128, 8, seed=23)
-    subsets = {0: np.arange(33, 97)}
-    graphs = build_subset_graphs(None, X, subsets, m=6, ef=30)
-    res = graphs[0].search(Q[0], beam=40, k=5)
-    assert np.all((res >= 33) & (res <= 96))
-    # Range restriction (post-filter semantics).
-    res2 = graphs[0].search(Q[0], beam=40, k=5, rank_range=(50, 60))
-    assert np.all((res2 >= 50) & (res2 <= 60))
+    g = build_subset_graphs(None, X, {0: (33, 96)}, m=6, ef=30)[0]
+    ids, dists = g.search(Q[0], beam=40)
+    assert np.all((ids >= 32) & (ids <= 95))
+    np.testing.assert_allclose(dists, ((X[ids] - Q[0]) ** 2).sum(1),
+                               rtol=1e-5)
+    res = top_k(ids, dists, 5, keep=lambda i: (i >= 49) & (i <= 59)) + 1
+    assert len(res) and np.all((res >= 50) & (res <= 60))
+
+
+def test_subset_graphs_share_vectors_and_equal_slice_builds():
+    """Every window graph reads the dataset array itself, not a copy, and
+    its adjacency is ``build_hnsw`` on the window's slice, in the
+    ``(0, gid)`` insertion order, shifted to global ids."""
+    X, _ = make_clustered(192, 8, seed=27)
+    idx = SuperPostfilterIndex(X, m=6, ef=30, min_window=32)
+    for gid, g in idx.graphs.items():
+        lo, hi = idx.windows[gid]
+        assert (g.lo, g.hi) == (lo, hi)
+        assert g.vectors is idx.vectors and np.shares_memory(g.vectors, X)
+        want = build_hnsw(
+            X[lo - 1 : hi], m=6, ef_construction=30,
+            order=np.random.default_rng((0, gid)).permutation(hi - lo + 1))
+        np.testing.assert_array_equal(
+            g.adj, np.where(want.adj >= 0, want.adj + lo - 1, -1))
+        assert g.entry == want.entry + lo - 1
 
 
 def _jobs(sc, group, fn):

@@ -43,14 +43,14 @@ def test_mixed_workload_qids_dense():
 
 
 def test_shared_range_workload_few_distinct():
-    wl = shared_range_workload(2048, 100, n_ranges=10, seed=3)
+    wl = shared_range_workload(2048, 100, seed=3)
     distinct = {(q.lo, q.hi) for q in wl}
     assert len(distinct) <= 10
     assert len(wl) == 100
 
 
 def test_shared_range_workload_group_alignment():
-    wl = shared_range_workload(2048, 40, n_ranges=10, seed=4)
+    wl = shared_range_workload(2048, 40, seed=4)
     for q in wl:
         peer = wl[q.qid % 10]
         assert (q.lo, q.hi) == (peer.lo, peer.hi)
@@ -58,7 +58,7 @@ def test_shared_range_workload_group_alignment():
 
 def test_multiattr_workload_two_ranges():
     n = 1024
-    wl = multiattr_workload(n, 20, frac_exp=2, seed=5)
+    wl = multiattr_workload(n, 20, seed=5)
     for q in wl:
         assert q.lo2 is not None and q.hi2 is not None
         assert 1 <= q.lo <= q.hi <= n
