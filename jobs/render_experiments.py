@@ -1,11 +1,20 @@
-"""Render results/run_all.json into markdown tables (helper for
-EXPERIMENTS.md). Prints to stdout; paste/curate into EXPERIMENTS.md.
+"""Rewrite EXPERIMENTS.md's result tables from results/run_all.json.
+
+Each table in EXPERIMENTS.md that comes from the JSON sits between
+``<!-- table:NAME -->`` and ``<!-- /table -->``. :func:`blocks` renders
+every such table from the JSON, and :func:`main` replaces exactly the
+marked blocks in place, leaving the prose around them as it is:
+
+    python jobs/render_experiments.py
 """
 import json
-import sys
+import re
 from pathlib import Path
 
-RESULTS = Path(__file__).resolve().parent.parent / "results"
+ROOT = Path(__file__).resolve().parent.parent
+RESULTS = ROOT / "results"
+EXPERIMENTS = ROOT / "EXPERIMENTS.md"
+BLOCK = re.compile(r"<!-- table:(\S+) -->\n.*?<!-- /table -->", re.S)
 
 
 def fmt(v, digits=3):
@@ -29,86 +38,78 @@ def md_table(rows: dict[str, dict[str, object]], col_order=None) -> str:
     return "\n".join(out)
 
 
-def main() -> None:
-    data = json.loads((RESULTS / "run_all.json").read_text())
-    datasets = list(data["table2"].keys())
+def marked(name: str, table: str) -> str:
+    """``table`` between the markers of block ``name``."""
+    return f"<!-- table:{name} -->\n{table}\n<!-- /table -->"
 
-    print("## Table 2 (measured, MiB)\n")
-    t2 = {}
-    for d in datasets:
-        for m, v in data["table2"][d]["footprint_mb"].items():
-            t2.setdefault(m, {})[d] = v
-    print(md_table(t2, datasets))
 
-    print("\n## Table 3 (measured, s)\n")
-    t3 = {}
-    for d in datasets:
-        sec = data["table3"][d]["seconds"]
-        for m, v in sec.items():
-            t3.setdefault(m, {})[d] = v
-        t3.setdefault("HNSW (reference)", {})[d] = data["table3"][d][
-            "hnsw_reference_seconds"]
-        t3.setdefault("iRangeGraph (driver-local)", {})[d] = data["table3"][
-            d].get("irange_local_seconds")
-    print(md_table(t3, datasets))
-    ratios = {d: fmt(data["table3"][d].get("irange_local_over_hnsw"))
-              for d in datasets}
-    print(f"\niRangeGraph(local)/HNSW build ratio: {ratios}")
+def _pivot(per_dataset: dict, cell=lambda r: r) -> dict[str, dict]:
+    """``{dataset: {method: result}}`` -> ``{method: {dataset: cell}}``."""
+    rows: dict[str, dict] = {}
+    for d, methods in per_dataset.items():
+        for m, r in methods.items():
+            rows.setdefault(m, {})[d] = cell(r)
+    return rows
 
-    for wname in ("mixed", "large", "moderate", "small"):
-        print(f"\n## Figure 2 — {wname} workload: "
-              "qps@0.9 | dists@0.9 | max recall\n")
-        rows = {}
-        for d in datasets:
-            per = data["fig2"][d]["workloads"][wname]
-            for m, r in per.items():
-                rows.setdefault(m, {})[d] = (
-                    f"{fmt(r['qps@0.9'])} / {fmt(r['dists@0.9'])} / "
-                    f"{fmt(round(r['max_recall'], 2))}"
-                )
-        print(md_table(rows, datasets))
 
-    print("\n## Figure 3 — ablation (mixed): qps@0.9 / dists@0.9\n")
-    rows = {}
-    for d in datasets:
-        for m, r in data["fig3"][d]["variants"].items():
-            rows.setdefault(m, {})[d] = (
-                f"{fmt(r['qps@0.9'])} / {fmt(r['dists@0.9'])}"
-            )
-    print(md_table(rows, datasets))
+def _at_09(r) -> str:
+    return f"{fmt(r['qps@0.9'])} / {fmt(r['dists@0.9'])}"
 
-    print("\n## Figure 4 — oracle gap: qps@0.9 / dists@0.9\n")
-    rows = {}
-    for d in datasets:
-        for m, r in data["fig4"][d]["methods"].items():
-            rows.setdefault(m, {})[d] = (
-                f"{fmt(r['qps@0.9'])} / {fmt(r['dists@0.9'])}"
-            )
-    print(md_table(rows, datasets))
-    for d in datasets:
-        ms = data["fig4"][d]["methods"]
+
+def _at_09_max(r) -> str:
+    return f"{_at_09(r)} / {fmt(round(r['max_recall'], 2))}"
+
+
+def blocks(data: dict) -> dict[str, str]:
+    """Every EXPERIMENTS.md table, by block name, rendered from the
+    ``run_all.json`` payload ``data``."""
+    datasets = list(data["table2"])
+    t3 = data["table3"]
+    table3 = _pivot({d: t3[d]["seconds"] for d in datasets})
+    for label, key in (("HNSW (reference)", "hnsw_reference_seconds"),
+                       ("iRangeGraph (driver-local)", "irange_local_seconds"),
+                       ("iRangeGraph (driver-local) / HNSW",
+                        "irange_local_over_hnsw")):
+        table3[label] = {d: t3[d][key] for d in datasets}
+    fig4 = {d: r["methods"] for d, r in data["fig4"].items()}
+    fig4_rows = _pivot(fig4, _at_09)
+    ratio = fig4_rows["iRangeGraph / Oracle-HNSW dists@0.9"] = {}
+    for d, ms in fig4.items():
         a, b = ms["Oracle-HNSW"]["dists@0.9"], ms["iRangeGraph"]["dists@0.9"]
-        if a and b:
-            print(f"- {d}: ours/oracle distance ratio = {b / a:.2f}")
+        ratio[d] = b / a if a and b else None
+    out = {
+        "table2": md_table(_pivot(
+            {d: r["footprint_mb"] for d, r in data["table2"].items()}),
+            datasets),
+        "table3": md_table(table3, datasets),
+        "fig3": md_table(_pivot(
+            {d: r["variants"] for d, r in data["fig3"].items()}, _at_09),
+            datasets),
+        "fig4": md_table(fig4_rows, datasets),
+        "fig5": md_table(_pivot(
+            {d: r["methods"] for d, r in data["fig5"].items()}, _at_09_max),
+            list(data["fig5"])),
+    }
+    for w in ("mixed", "large", "moderate", "small"):
+        out[f"fig2-{w}"] = md_table(_pivot(
+            {d: r["workloads"][w] for d, r in data["fig2"].items()},
+            _at_09_max), datasets)
+    if "scalability" in data:
+        out["scalability"] = md_table(
+            {str(r["n"]): {k: v for k, v in r.items() if k != "n"}
+             for r in data["scalability"]})
+    return out
 
-    if data.get("fig5"):
-        print("\n## Figure 5 — multi-attribute: "
-              "qps@0.9 / dists@0.9 / max recall\n")
-        rows = {}
-        f5sets = list(data["fig5"].keys())
-        for d in f5sets:
-            for m, r in data["fig5"][d]["methods"].items():
-                rows.setdefault(m, {})[d] = (
-                    f"{fmt(r['qps@0.9'])} / {fmt(r['dists@0.9'])} / "
-                    f"{fmt(round(r['max_recall'], 2))}"
-                )
-        print(md_table(rows, f5sets))
 
-    if data.get("scalability"):
-        print("\n## Scalability (redcaps_lite)\n")
-        rows = {str(r["n"]): {k: v for k, v in r.items() if k != "n"}
-                for r in data["scalability"]}
-        print(md_table(rows))
+def main() -> None:
+    new = blocks(json.loads((RESULTS / "run_all.json").read_text()))
+    doc = EXPERIMENTS.read_text()
+    names = BLOCK.findall(doc)
+    if sorted(names) != sorted(new):
+        raise ValueError(
+            f"{EXPERIMENTS.name} marks tables {sorted(names)}, but "
+            f"run_all.json renders {sorted(new)}")
+    EXPERIMENTS.write_text(BLOCK.sub(lambda m: marked(m[1], new[m[1]]), doc))
 
 
 if __name__ == "__main__":

@@ -3,9 +3,11 @@ produce every table/figure from it (Tables 1-3, Figures 2-5,
 scalability) and write them to one file, ``results/run_all.json`` (or
 ``$REPRO_RESULTS_DIR/run_all.json``), plus a printed summary.
 
-This is the entrypoint whose numbers populate EXPERIMENTS.md:
+This is the entrypoint whose numbers populate EXPERIMENTS.md, whose
+tables ``jobs/render_experiments.py`` then rewrites from the JSON:
 
     python jobs/run_all.py --n 4096 --nq 40
+    python jobs/render_experiments.py
 
 It obtains a SparkSession the same way ``conftest.py`` does, so it runs
 with plain ``python`` and under ``spark-submit``.
@@ -85,26 +87,6 @@ def _jsonable(x):
     raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
-def print_matrix(title: str, rows: dict[str, dict[str, object]],
-                 fmt: str = "{:.3g}") -> None:
-    """Print a dict-of-dicts as an aligned text table."""
-    cols = sorted({c for r in rows.values() for c in r})
-    print(f"\n== {title} ==")
-    header = "{:24s}".format("") + "".join(f"{c:>16s}" for c in cols)
-    print(header)
-    for rname, r in rows.items():
-        cells = []
-        for c in cols:
-            v = r.get(c)
-            if v is None:
-                cells.append(f"{'—':>16s}")
-            elif isinstance(v, (int, float)):
-                cells.append(f"{fmt.format(v):>16s}")
-            else:
-                cells.append(f"{str(v):>16s}")
-        print(f"{rname:24s}" + "".join(cells))
-
-
 def git_commit() -> str | None:
     """The checkout's ``HEAD`` commit, or None outside a git checkout."""
     try:
@@ -156,15 +138,10 @@ def main() -> None:
         )
     dump("run_all", out)
 
-    # Console summary: qps@0.9 per dataset on the mixed workload.
-    for name in names:
-        per_method = out["fig2"][name]["workloads"]["mixed"]
-        print_matrix(
-            f"[{name}] mixed workload",
-            {m: {"qps@0.9": r["qps@0.9"], "dists@0.9": r["dists@0.9"],
-                 "max_recall": round(r["max_recall"], 3)}
-             for m, r in per_method.items()},
-        )
+    # Console summary: EXPERIMENTS.md's Figure 2 mixed-workload table.
+    from render_experiments import blocks
+
+    print(blocks(out)["fig2-mixed"])
     spark.stop()
 
 

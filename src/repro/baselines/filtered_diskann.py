@@ -5,17 +5,19 @@ is evenly divided into 10 consecutive buckets, each bucket is a *label*;
 a query's label set is the buckets intersecting its range, and results
 are post-filtered to the exact range.
 
-* **StitchedVamana** — build one graph per label and stitch (union) them;
-  with disjoint single-label points the stitched graph is the disjoint
-  union, re-pruned to the degree cap. Query: filtered greedy search that
-  visits only query-label nodes, seeded from each query label's medoid.
-* **FilteredVamana** — a single graph built incrementally
-  (``build_hnsw(labels=...)``) where each insertion's candidates come
-  from a search that visits only its label, entered from the label's
-  first inserted node, mirroring FilteredRobustPrune's
-  "candidates share a label with u" constraint (with one label per point
-  this keeps edges label-internal, as in the original when label sets
-  are disjoint).
+* **StitchedVamana** — build one graph per label and stitch (union)
+  them; with disjoint single-label points the stitched graph is the
+  disjoint union.
+* **FilteredVamana** — a single graph built incrementally in one seeded
+  insertion order, where each insertion's candidates come from its own
+  label, entered from the label's first inserted node, mirroring
+  FilteredRobustPrune's "candidates share a label with u" constraint.
+  With one label per point and labels that are rank buckets, that is one
+  ``build_hnsw`` per bucket, in the bucket's share of the order.
+
+In both graphs every edge joins two nodes of one label, so a query's
+greedy search, seeded from the medoid of each label its range touches,
+never leaves those labels; results are post-filtered to the range.
 
 Both inherit the failure mode the paper reports: bucket length is fixed
 at index time, so small query ranges drown in same-label out-of-range
@@ -51,14 +53,15 @@ class _LabelIndexBase:
         }
 
     def search(self, query, lo, hi, *, beam, k, counter=None):
-        """Filtered greedy search over the query's labels, seeded from
-        their medoids; results are post-filtered to ``[lo, hi]``."""
+        """Greedy search seeded from the medoids of the query's labels
+        (edges never leave a label); results are post-filtered to
+        ``[lo, hi]``."""
         lo, hi = max(1, lo), min(self.n, hi)
         if lo > hi:
             return np.empty(0, dtype=np.int64)
-        labs = set(np.unique(self.label[lo - 1 : hi]).tolist())
-        entries = [self.medoids[b] for b in sorted(labs)]
-        label, adj = self.label, self.adj
+        labs = np.unique(self.label[lo - 1 : hi]).tolist()
+        entries = [self.medoids[b] for b in labs]
+        adj = self.adj
         lo0, hi0 = lo - 1, hi - 1
         ids, dists = beam_search(
             query,
@@ -67,7 +70,6 @@ class _LabelIndexBase:
             entries,
             beam=beam,
             counter=counter,
-            visit_filter=lambda u: label[u] in labs,
         )
         res = top_k(ids, dists, k, keep=lambda i: (i >= lo0) & (i <= hi0))
         return res + 1
@@ -111,16 +113,17 @@ class FilteredVamanaIndex(_LabelIndexBase):
         n_labels: int = 10,
         m: int = 16,
         ef: int = 100,
-        seed: int = 0,
     ) -> None:
         super().__init__(vectors, n_labels)
-        order = np.random.default_rng(seed).permutation(self.n)
-        self.adj = build_hnsw(
-            self.vectors, m=m, ef_construction=ef, order=order,
-            labels=self.label,
-        ).adj
+        order = np.random.default_rng(0).permutation(self.n)
+        self.adj = np.full((self.n, m), -1, dtype=np.int32)
         # Each label's first inserted node is its build entry point, and
         # the query path's seed too.
-        self.medoids = {}
-        for u in order.tolist():
-            self.medoids.setdefault(int(self.label[u]), u)
+        for b in self.medoids:
+            lo, hi = self.bounds[b], self.bounds[b + 1]
+            g = build_hnsw(
+                self.vectors[lo:hi], m=m, ef_construction=ef,
+                order=order[(order >= lo) & (order < hi)] - lo,
+            )
+            self.adj[lo:hi] = np.where(g.adj >= 0, g.adj + lo, -1)
+            self.medoids[b] = int(g.entry + lo)

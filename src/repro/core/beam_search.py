@@ -11,8 +11,7 @@ Variation points, used by the different strategies:
 * ``get_neighbors``: a callable ``u -> int ndarray``. For static graphs this
   reads an adjacency row; for iRangeGraph it runs Algorithm 1 on the fly.
 * ``visit_filter``: nodes failing it are neither scored nor expanded —
-  the label filter of the FilteredVamana/StitchedVamana baselines and,
-  stateful, iRangeGraph+'s probabilistic multi-attribute rule.
+  iRangeGraph+'s stateful, probabilistic multi-attribute rule.
 * :func:`top_k`'s ``keep``: applied to *scored* nodes when extracting the
   final top-k — this is the Post-filtering strategy (the graph is
   traversed without constraint; only reported results are filtered).

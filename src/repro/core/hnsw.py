@@ -8,12 +8,6 @@ list that overflows ``m`` with another RNG prune. hnswlib's level-0
 behaves identically; the hierarchy only accelerates entry-point location,
 which a beam over n <= 10^4 nodes does not need.
 
-With ``labels`` the same loop builds Filtered-DiskANN's FilteredVamana
-(Gollapudi et al., WWW 2023): each label's first inserted node is its
-entry point and starts every insertion's candidate search. An edge only
-joins a node to candidates found from its label's entry point, so every
-edge, and hence every search, stays inside one label.
-
 The builder can record the full *edge history* (birth/death insertion
 step of every directed edge). With insertion in attribute-rank order this
 is exactly SeRF's 1-D segment graph: filtering edges by
@@ -53,16 +47,12 @@ def build_hnsw(
     order: np.ndarray | None = None,
     seed: int = 0,
     record_history: bool = False,
-    labels: np.ndarray | None = None,
 ) -> FlatGraph:
     """Build an HNSW-lite graph by incremental insertion.
 
     ``order`` fixes the insertion order (SeRF needs rank order); by
     default a seeded random permutation is used, which is what hnswlib
     effectively sees on attribute-sorted data fed in shuffled order.
-    ``labels`` (one int per node) enters each insertion's candidate
-    search at its label's first inserted node, which confines it to the
-    label; ``entry`` is still the first inserted node overall.
     """
     n = len(vectors)
     vectors = np.ascontiguousarray(vectors, dtype=np.float32)
@@ -75,18 +65,14 @@ def build_hnsw(
     adj_lists: list[list[int]] = [[] for _ in range(n)]
     birth: dict[tuple[int, int], int] = {}
     death: dict[tuple[int, int], int] = {}
-    entries: dict[int, int] = {}  # label (0 without labels) -> first node
 
     def neighbors(u: int) -> np.ndarray:
         return np.asarray(adj_lists[u], dtype=np.int64)
 
-    for t, u in enumerate(order.tolist()):
-        b = 0 if labels is None else int(labels[u])
-        if b not in entries:
-            entries[b] = u
-            continue
+    entry = int(order[0])
+    for t, u in enumerate(order.tolist()[1:], start=1):
         ids, dists = beam_search(
-            vectors[u], vectors, neighbors, [entries[b]], beam=ef_construction
+            vectors[u], vectors, neighbors, [entry], beam=ef_construction
         )
         # Candidates = the ef best scored nodes.
         keep = np.argsort(dists, kind="stable")[:ef_construction]
@@ -111,7 +97,7 @@ def build_hnsw(
                 adj_lists[v] = kept_list
 
     adj = pack_neighbors([np.asarray(l) for l in adj_lists], m)
-    g = FlatGraph(adj=adj, entry=int(order[0]))
+    g = FlatGraph(adj=adj, entry=entry)
     if record_history:
         # Drop zero-length intervals (edge born and pruned within the
         # same insertion step — it exists in no reconstructable state).

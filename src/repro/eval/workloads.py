@@ -51,19 +51,17 @@ def fixed_workload(
     ]
 
 
-def mixed_workload(
-    n: int, nq: int, *, max_exp: int = MAX_EXP, seed: int = 0
-) -> list[RangeQuery]:
-    """Queries split into ``max_exp + 1`` groups with fractions 2^0..2^-max_exp.
+def mixed_workload(n: int, nq: int, *, seed: int = 0) -> list[RangeQuery]:
+    """Queries split into ``MAX_EXP + 1`` groups with fractions
+    2^0..2^-MAX_EXP.
 
     The paper uses i in [0, 9] at n = 1M; at reproduction scale the
-    default caps at 2^-8 so the smallest ranges still hold >= k objects.
+    fractions stop at 2^-8 so the smallest ranges still hold >= k objects.
     """
     g = np.random.default_rng(seed)
     out = []
-    groups = max_exp + 1
     for q in range(nq):
-        i = q % groups
+        i = q % (MAX_EXP + 1)
         length = max(1, n >> i)
         out.append(RangeQuery(q, *_random_range(n, length, g)))
     return out

@@ -5,8 +5,8 @@ candidate against the stacked vectors of all kept ones, the brute-force
 leaf builder with its per-pair Python ``any``, and the parent-segment
 builder that maps a child row to local ids on every beam-search
 expansion, the original layer loop of the iRangeGraph build, and
-FilteredVamana's own insertion loop from before it became
-``build_hnsw(labels=...)``. The optimized kernels and builders in
+FilteredVamana's own insertion loop over the whole dataset, before it
+became one ``build_hnsw`` per label. The optimized kernels and builders in
 ``repro.core`` must return exactly what these return.
 """
 from __future__ import annotations

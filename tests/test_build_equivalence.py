@@ -207,21 +207,20 @@ def test_hnsw_with_history_matches_reference(monkeypatch):
 
 
 def test_filtered_vamana_matches_reference(monkeypatch):
-    """``build_hnsw(labels=...)`` rebuilds the original FilteredVamana
-    loop exactly: adjacency and per-label first nodes. Seed 3 adds
+    """One ``build_hnsw`` per label, in the label's share of the seeded
+    order, rebuilds the original whole-dataset FilteredVamana loop
+    exactly: adjacency and per-label first nodes. Dataset 3 adds
     duplicated vectors, inside one label and across two."""
-    for seed in range(4):
-        X, _ = make_clustered(300, 16, seed=10 + seed)
-        if seed == 3:
+    for i in range(4):
+        X, _ = make_clustered(300, 16, seed=10 + i)
+        if i == 3:
             X[7] = X[8]
             X[150] = X[20]
-        got = FilteredVamanaIndex(X, n_labels=5, m=6, ef=30, seed=seed)
-        want_adj, want_medoids = ref.filtered_vamana(X, got.label, 6, 30,
-                                                     seed)
+        got = FilteredVamanaIndex(X, n_labels=5, m=6, ef=30)
+        want_adj, want_medoids = ref.filtered_vamana(X, got.label, 6, 30, 0)
         with monkeypatch.context() as mp:
             mp.setattr(hnsw, "rng_prune", ref.rng_prune)
-            patched = FilteredVamanaIndex(X, n_labels=5, m=6, ef=30,
-                                          seed=seed)
+            patched = FilteredVamanaIndex(X, n_labels=5, m=6, ef=30)
         for idx in (got, patched):
             assert idx.adj.dtype == want_adj.dtype
             np.testing.assert_array_equal(idx.adj, want_adj)

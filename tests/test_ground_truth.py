@@ -42,7 +42,7 @@ def test_exact_rfann_np_attr2_filter(small_data):
 
 def test_ground_truth_spark_matches_np(spark, small_data):
     X, Q = small_data
-    wl = mixed_workload(len(X), 12, max_exp=4, seed=0)
+    wl = mixed_workload(len(X), 12, seed=0)
     gt = ground_truth_spark(spark, X, wl, Q, k=7)
     for q in wl:
         ref, _ = exact_rfann_np(X, Q[q.qid % len(Q)], q.lo, q.hi, 7)
@@ -127,7 +127,7 @@ def test_oracle_catches_wrong_result(spark, small_data):
     from pyspark.sql import functions as F
 
     X, _ = small_data
-    wl = mixed_workload(len(X), 8, max_exp=3, seed=4)
+    wl = mixed_workload(len(X), 8, seed=4)
     pdf = pd.DataFrame(
         [(q.qid, r) for q in wl for r in range(q.lo, q.hi + 1)],
         columns=["qid", "rank"],

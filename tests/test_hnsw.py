@@ -6,7 +6,6 @@ from repro.baselines._spark_build import SubsetGraph
 from repro.core.beam_search import top_k
 from repro.core.hnsw import build_hnsw
 from repro.core.neighbors import DistanceCounter
-from tests import _reference_build as ref
 from tests.conftest import make_clustered
 
 
@@ -111,18 +110,3 @@ def test_history_final_state_matches_adjacency():
              if b < n <= dth}
     packed = {(u, int(v)) for u in range(n) for v in g.adj[u] if v >= 0}
     assert alive == packed
-
-
-def test_labelled_build_keeps_edges_and_searches_inside_labels():
-    """With interleaved labels (every cluster holds every label), each
-    FilteredVamana edge joins two nodes of one label, so the candidate
-    search, which runs without a visit filter, never leaves the label: the
-    adjacency equals the reference loop that filters visits by label."""
-    X, _ = make_clustered(240, 16, seed=12)
-    labels = np.arange(240) % 3
-    g = build_hnsw(X, m=6, ef_construction=30, seed=4, labels=labels)
-    src, slot = np.nonzero(g.adj >= 0)
-    assert len(src) > 240
-    np.testing.assert_array_equal(labels[src], labels[g.adj[src, slot]])
-    want_adj, _ = ref.filtered_vamana(X, labels, 6, 30, 4)
-    np.testing.assert_array_equal(g.adj, want_adj)

@@ -37,13 +37,6 @@ def test_jsonable_rejects_unknown():
         run_all._jsonable(object())
 
 
-def test_print_matrix_handles_none(capsys):
-    run_all = _load_run_all()
-    run_all.print_matrix("t", {"row": {"a": None, "b": 1.0, "c": "x"}})
-    out = capsys.readouterr().out
-    assert "—" in out and "row" in out
-
-
 def test_arg_parser_defaults():
     run_all = _load_run_all()
     args = run_all.arg_parser("d").parse_args([])
@@ -62,10 +55,10 @@ def test_job_help_runs(job):
 
 
 def test_committed_results_have_one_writer():
-    """``results/`` holds run_all.py's output, its log and its rendering,
-    and nothing else: no second writer, no file a test left behind."""
+    """``results/`` holds run_all.py's output and its log, and nothing
+    else: no second writer, no file a test left behind."""
     assert sorted(p.name for p in RESULTS.iterdir()) == [
-        "experiments_rendered.md", "run_all.json", "run_all.log"]
+        "run_all.json", "run_all.log"]
 
 
 def test_run_all_end_to_end(tmp_path):

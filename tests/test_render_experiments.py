@@ -3,6 +3,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
 
@@ -31,12 +33,11 @@ def test_md_table_layout():
     assert "| a | 1 | — |" in lines
 
 
-def test_main_renders_fake_results(tmp_path, monkeypatch, capsys):
-    mod = _load()
+def _fake_results() -> dict:
     curve = [{"beam": 10, "recall": 0.95, "qps": 100.0, "dists": 50.0}]
     method = {"curve": curve, "qps@0.9": 100.0, "dists@0.9": 50.0,
               "max_recall": 0.95}
-    fake = {
+    return {
         "table2": {"d1": {"footprint_mb": {"iRangeGraph": 1.5,
                                            "raw vectors": 1.0}}},
         "table3": {"d1": {"seconds": {"iRangeGraph": 2.0},
@@ -55,11 +56,49 @@ def test_main_renders_fake_results(tmp_path, monkeypatch, capsys):
                          "footprint_mb": 1.0, "qps@0.9": 10.0,
                          "dists@0.9": 5.0}],
     }
-    (tmp_path / "run_all.json").write_text(json.dumps(fake))
+
+
+def test_main_renders_fake_results(tmp_path, monkeypatch):
+    """``main()`` fills every marked block of a temporary document from a
+    fake ``run_all.json`` and keeps the prose; a second run changes
+    nothing, and a marker without a block (or a block without a marker)
+    raises."""
+    mod = _load()
+    (tmp_path / "run_all.json").write_text(json.dumps(_fake_results()))
+    doc = tmp_path / "EXPERIMENTS.md"
+    names = ["table2", "table3", "fig2-mixed", "fig2-large",
+             "fig2-moderate", "fig2-small", "fig3", "fig4", "fig5",
+             "scalability"]
+    stale = "".join(f"Prose {n}.\n\n<!-- table:{n} -->\n| old |\n"
+                    "<!-- /table -->\n\n" for n in names)
+    doc.write_text(stale)
     monkeypatch.setattr(mod, "RESULTS", tmp_path)
+    monkeypatch.setattr(mod, "EXPERIMENTS", doc)
     mod.main()
-    out = capsys.readouterr().out
-    assert "## Table 2 (measured, MiB)" in out
-    assert "## Figure 5" in out
-    assert "distance ratio = 1.00" in out
-    assert "## Scalability" in out
+    once = doc.read_text()
+    assert "| old |" not in once
+    assert all(f"Prose {n}." in once for n in names)
+    assert "| iRangeGraph (driver-local) / HNSW | 2.5 |" in once
+    assert "| iRangeGraph / Oracle-HNSW dists@0.9 | 1 |" in once
+    assert "| 512 | 3 | 5 | 1 | 10 |" in once
+    mod.main()
+    assert doc.read_text() == once
+
+    doc.write_text(once + "<!-- table:fig6 -->\n<!-- /table -->\n")
+    with pytest.raises(ValueError, match="fig6"):
+        mod.main()
+    doc.write_text(once.replace("<!-- table:fig5 -->", "<!-- fig5 -->"))
+    with pytest.raises(ValueError, match="fig5"):
+        mod.main()
+
+
+def test_experiments_md_is_the_rendering_of_committed_results():
+    """Every JSON-derived table in EXPERIMENTS.md is byte for byte the
+    renderer's block for the committed ``results/run_all.json``, and the
+    marked blocks are exactly the rendered ones."""
+    mod = _load()
+    new = mod.blocks(json.loads((mod.RESULTS / "run_all.json").read_text()))
+    doc = mod.EXPERIMENTS.read_text()
+    assert sorted(mod.BLOCK.findall(doc)) == sorted(new)
+    for name, table in new.items():
+        assert mod.marked(name, table) in doc, name

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.eval.workloads import (fixed_workload, mixed_workload,
+from repro.eval.workloads import (MAX_EXP, fixed_workload, mixed_workload,
                                   multiattr_workload, shared_range_workload)
 
 
@@ -31,9 +31,9 @@ def test_fixed_workload_deterministic():
 
 def test_mixed_workload_cycles_fractions():
     n = 1024
-    wl = mixed_workload(n, 30, max_exp=4, seed=0)
+    wl = mixed_workload(n, 30, seed=0)
     for q in wl:
-        i = q.qid % 5
+        i = q.qid % (MAX_EXP + 1)
         assert q.hi - q.lo + 1 == max(1, n >> i)
 
 
@@ -68,6 +68,6 @@ def test_multiattr_workload_two_ranges():
 
 
 def test_tiny_n_never_breaks():
-    for wl in (fixed_workload(4, 6, 8), mixed_workload(4, 6, max_exp=8)):
+    for wl in (fixed_workload(4, 6, 8), mixed_workload(4, 6)):
         for q in wl:
             assert 1 <= q.lo <= q.hi <= 4
